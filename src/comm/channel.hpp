@@ -31,10 +31,10 @@
 
 namespace rtcf::comm {
 
-/// Protocol version stamped into every frame header. Receivers reject
-/// frames from a different major version (kWireVersion is the only
-/// version so far).
-inline constexpr std::uint16_t kWireVersion = 1;
+/// The one wire version, stamped into every frame header. It covers the
+/// framing and every payload layout in docs/PROTOCOL.md; a receiver that
+/// reads any other value closes the channel (TCP and the shm ring alike).
+inline constexpr std::uint16_t kWireVersion = 2;
 
 /// One typed message on a control channel. The payload encoding depends on
 /// the type and is specified in docs/PROTOCOL.md; the channel layer treats

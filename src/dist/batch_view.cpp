@@ -6,6 +6,10 @@
 
 namespace rtcf::dist {
 
+namespace {
+
+/// Writes one message block; byte-identical to the block make_batch
+/// emits. Throws WireError if the span cannot hold it.
 void write_message_into(SpanWriter& w, const comm::Message& m) {
   const std::size_t block = w.begin_block();
   w.u32(m.type_id);
@@ -17,8 +21,6 @@ void write_message_into(SpanWriter& w, const comm::Message& m) {
         comm::Message::kPayloadCapacity);
   w.end_block(block);
 }
-
-namespace {
 
 void write_str_view(SpanWriter& w, std::string_view v) {
   w.u32(static_cast<std::uint32_t>(v.size()));
@@ -41,13 +43,6 @@ comm::Message decode_message(WireReader& r) {
 }
 
 }  // namespace
-
-void encode_data_payload(SpanWriter& w, std::string_view client,
-                         std::string_view port, const comm::Message& m) {
-  write_str_view(w, client);
-  write_str_view(w, port);
-  write_message_into(w, m);
-}
 
 void encode_credit_payload(SpanWriter& w, std::string_view client,
                            std::string_view port, std::uint64_t credits) {

@@ -543,7 +543,7 @@ void ReconfigCoordinator::announce_takeover(const std::string& name,
       if (!peer.channel->receive(frame, deadline - now)) break;
       if (frame.type == static_cast<std::uint16_t>(FrameType::Hello)) {
         try {
-          peer.epoch = parse_hello_info(frame).resync_epoch;
+          peer.epoch = parse_hello(frame).resync_epoch;
         } catch (const WireError&) {
         }
         break;

@@ -221,7 +221,8 @@ class ReconfigCoordinator {
     return view_;
   }
 
-  /// This coordinator's fencing epoch, stamped into every v4 frame.
+  /// This coordinator's fencing epoch, stamped into every PREPARE and
+  /// decision frame.
   std::uint64_t coord_epoch() const noexcept { return coord_epoch_; }
   /// Raises the fencing epoch — the promotion step of a standby takeover.
   void set_coord_epoch(std::uint64_t epoch) noexcept { coord_epoch_ = epoch; }

@@ -6,33 +6,6 @@
 
 namespace rtcf::dist {
 
-namespace {
-constexpr std::uint16_t kLegacyVersion = 2;
-}  // namespace
-
-void DataPlane::set_counters(monitor::DataPlaneCounters* counters) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  counters_ = counters;
-}
-
-void DataPlane::set_peer_version(const std::string& peer,
-                                 std::uint16_t version) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  peer_versions_[peer] = version;
-  // Refresh the cached copy on every route toward this peer — a HELLO
-  // can upgrade a peer mid-run (the unannounced-peer-upgrades test) and
-  // offer() only ever reads the cache.
-  for (ExitRoute& route : exits_) {
-    if (route.peer == peer) route.protocol = version;
-  }
-}
-
-std::uint16_t DataPlane::peer_version(const std::string& peer) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = peer_versions_.find(peer);
-  return it == peer_versions_.end() ? kLegacyVersion : it->second;
-}
-
 void DataPlane::clear_routes() {
   const std::lock_guard<std::mutex> lock(mutex_);
   for (ExitRoute& route : exits_) {
@@ -47,8 +20,7 @@ void DataPlane::clear_routes() {
 
 std::size_t DataPlane::add_route(const std::string& client,
                                  const std::string& port,
-                                 std::shared_ptr<comm::Channel> channel,
-                                 const std::string& peer) {
+                                 std::shared_ptr<comm::Channel> channel) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto key = std::make_pair(client, port);
   auto it = exit_index_.find(key);
@@ -61,18 +33,14 @@ std::size_t DataPlane::add_route(const std::string& client,
     it = exit_index_.emplace(key, exits_.size() - 1).first;
   }
   ExitRoute& route = exits_[it->second];
-  route.peer = peer;
   route.channel = std::move(channel);
   route.active = route.channel != nullptr;
-  const auto vit = peer_versions_.find(peer);
-  route.protocol = vit == peer_versions_.end() ? kLegacyVersion : vit->second;
   return it->second;
 }
 
 std::size_t DataPlane::add_entry_route(const std::string& client,
                                        const std::string& port,
-                                       std::shared_ptr<comm::Channel> reverse,
-                                       const std::string& peer) {
+                                       std::shared_ptr<comm::Channel> reverse) {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto key = std::make_pair(client, port);
   auto it = entry_index_.find(key);
@@ -84,7 +52,6 @@ std::size_t DataPlane::add_entry_route(const std::string& client,
     it = entry_index_.emplace(key, entries_.size() - 1).first;
   }
   EntryRoute& route = entries_[it->second];
-  route.peer = peer;
   route.reverse = std::move(reverse);
   route.active = route.reverse != nullptr;
   return it->second;
@@ -104,14 +71,8 @@ bool DataPlane::send_encoded(comm::Channel& channel, FrameType type,
     if (ok) {
       if (reservation.in_place) {
         stats_.ring_frames += 1;
-        if (counters_ != nullptr) {
-          counters_->ring_frames.fetch_add(1, std::memory_order_relaxed);
-        }
       } else {
         stats_.bytes_copied += used;
-        if (counters_ != nullptr) {
-          counters_->bytes_copied.fetch_add(used, std::memory_order_relaxed);
-        }
       }
     }
     return ok;
@@ -124,68 +85,22 @@ bool DataPlane::send_encoded(comm::Channel& channel, FrameType type,
   const comm::ByteSpan span{buffer.data(), used};
   const bool ok = channel.send_spans(type16, &span, 1);
   stats_.bytes_copied += used;
-  if (counters_ != nullptr) {
-    counters_->bytes_copied.fetch_add(used, std::memory_order_relaxed);
-  }
   pool_.release(std::move(buffer));
-  sync_pool_counters();
   return ok;
-}
-
-void DataPlane::sync_pool_counters() {
-  if (counters_ == nullptr) return;
-  const comm::BufferPool::Stats pool = pool_.stats();
-  counters_->pool_hits.store(pool.hits, std::memory_order_relaxed);
-  counters_->pool_misses.store(pool.misses, std::memory_order_relaxed);
-  counters_->pool_high_water.store(pool.high_water,
-                                   std::memory_order_relaxed);
 }
 
 DataPlane::Offer DataPlane::offer(std::size_t route_id,
                                   const comm::Message& message) {
   const std::lock_guard<std::mutex> lock(mutex_);
   stats_.offered += 1;
-  if (counters_ != nullptr) {
-    counters_->offered.fetch_add(1, std::memory_order_relaxed);
-  }
   if (route_id >= exits_.size()) return Offer::Dropped;
   ExitRoute& route = exits_[route_id];
   if (!route.active || route.channel == nullptr) return Offer::Dropped;
-
-  if (route.protocol < kBatchProtocolVersion) {
-    // Pre-v3 peer: the original one-frame-per-message path — same wire
-    // bytes, but encoded into a pooled buffer instead of a fresh vector.
-    const bool ok = send_encoded(
-        *route.channel, FrameType::Data,
-        data_payload_wire_bytes(route.client, route.port),
-        [&](WireSpan span) {
-          SpanWriter w(span);
-          encode_data_payload(w, route.client, route.port, message);
-          return w.used();
-        });
-    if (!ok) {
-      stats_.send_failures += 1;
-      if (counters_ != nullptr) {
-        counters_->send_failures.fetch_add(1, std::memory_order_relaxed);
-      }
-      return Offer::Dropped;
-    }
-    stats_.sent += 1;
-    stats_.legacy_sends += 1;
-    if (counters_ != nullptr) {
-      counters_->sent.fetch_add(1, std::memory_order_relaxed);
-      counters_->legacy_sends.fetch_add(1, std::memory_order_relaxed);
-    }
-    return Offer::Sent;
-  }
 
   if (route.queue.size() >= config_.route_queue_cap) {
     // Overflow is decided here, at the route: drop-newest, the same
     // policy the local bounded buffer applies (docs/DATAPLANE.md §4).
     stats_.overflow_drops += 1;
-    if (counters_ != nullptr) {
-      counters_->overflow_drops.fetch_add(1, std::memory_order_relaxed);
-    }
     return Offer::Dropped;
   }
   if (route.queue.empty()) {
@@ -197,9 +112,6 @@ DataPlane::Offer DataPlane::offer(std::size_t route_id,
       std::max<std::uint64_t>(stats_.peak_queue_depth, route.queue.size());
   if (route.queue.size() >= config_.batch_max && route.credits > 0) {
     stats_.size_flushes += 1;
-    if (counters_ != nullptr) {
-      counters_->size_flushes.fetch_add(1, std::memory_order_relaxed);
-    }
     stage_route(route_id, route.credits);
     send_groups();
     return exits_[route_id].queue.empty() ? Offer::Sent : Offer::Queued;
@@ -269,15 +181,8 @@ std::size_t DataPlane::send_groups() {
       sent += group.messages;
       stats_.sent += group.messages;
       stats_.batches += 1;
-      if (counters_ != nullptr) {
-        counters_->sent.fetch_add(group.messages, std::memory_order_relaxed);
-        counters_->batches.fetch_add(1, std::memory_order_relaxed);
-      }
     } else {
       stats_.send_failures += 1;
-      if (counters_ != nullptr) {
-        counters_->send_failures.fetch_add(1, std::memory_order_relaxed);
-      }
     }
     group.channel.reset();
   }
@@ -300,12 +205,7 @@ std::size_t DataPlane::flush(bool force) {
               : static_cast<std::size_t>(
                     std::min<std::uint64_t>(route.credits, route.queue.size()));
     if (limit == 0) continue;
-    if (!force) {
-      stats_.deadline_flushes += 1;
-      if (counters_ != nullptr) {
-        counters_->deadline_flushes.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
+    if (!force) stats_.deadline_flushes += 1;
     stage_route(i, limit);
   }
   return send_groups();
@@ -352,16 +252,9 @@ bool DataPlane::send_grant(EntryRoute& route) {
       });
   if (!ok) {
     stats_.send_failures += 1;
-    if (counters_ != nullptr) {
-      counters_->send_failures.fetch_add(1, std::memory_order_relaxed);
-    }
     return false;
   }
   stats_.credits_granted += route.pending;
-  if (counters_ != nullptr) {
-    counters_->credits_granted.fetch_add(route.pending,
-                                         std::memory_order_relaxed);
-  }
   route.pending = 0;
   return true;
 }

@@ -2,29 +2,23 @@
 // control for bridged asynchronous bindings (docs/DATAPLANE.md is the
 // normative spec).
 //
-// PR-sized history: the first data plane sent one DATA frame — one
-// channel write, one syscall on TCP — per forwarded message. This class
-// replaces that hot path. Exit gateways offer() messages into bounded
-// per-route queues; flush() coalesces everything pending toward a peer
-// into one BATCH frame per channel, triggered by queue depth (batch_max)
-// or age (flush_interval). A per-route credit window caps how many
-// messages may be on the wire ahead of the consuming entry gateway: the
-// entry side grants credits back (CREDIT frames) as it injects, so a slow
-// node backpressures the bridge into the route queue, and overflow is
-// decided *at the route* (drop-newest, mirroring the local bounded
-// buffer's policy) instead of inside a wedged TCP write.
-//
-// Peers that never announced protocol version 3 in their HELLO fall back
-// to the per-message DATA path — no batching, no credits — so a v3 node
-// interoperates with a v2 cluster frame-for-frame.
+// Exit gateways offer() messages into bounded per-route queues; flush()
+// coalesces everything pending toward a peer into one BATCH frame per
+// channel, triggered by queue depth (batch_max) or age (flush_interval).
+// A per-route credit window caps how many messages may be on the wire
+// ahead of the consuming entry gateway: the entry side grants credits
+// back (CREDIT frames) as it injects, so a slow node backpressures the
+// bridge into the route queue, and overflow is decided *at the route*
+// (drop-newest, mirroring the local bounded buffer's policy) instead of
+// inside a wedged TCP write. Every route batches from its first message;
+// there is no per-message path.
 //
 // Threading discipline (the channel contracts depend on it): every
-// channel WRITE — batch flush, legacy DATA send, CREDIT grant — happens
-// on the executive thread (offer/flush from the launcher boundary hook,
-// note_injected from the inbox drain, or the single-threaded stop()
-// drain). The serve thread only tops up credits (on_credit) and version
-// facts (set_peer_version) under the internal mutex. One writer per
-// channel is exactly what keeps the shm-ring transport SPSC.
+// channel WRITE — batch flush, CREDIT grant — happens on the executive
+// thread (offer/flush from the launcher boundary hook, note_injected from
+// the inbox drain, or the single-threaded stop() drain). The serve thread
+// only tops up credits (on_credit) under the internal mutex. One writer
+// per channel is exactly what keeps the shm-ring transport SPSC.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +34,7 @@
 #include "comm/channel.hpp"
 #include "comm/message.hpp"
 #include "dist/protocol.hpp"
-#include "monitor/runtime_monitor.hpp"
+#include "rtsj/time/time.hpp"
 
 namespace rtcf::dist {
 
@@ -60,13 +54,11 @@ struct DataPlaneConfig {
   std::size_t route_queue_cap = 1024;
 };
 
-/// Point-in-time counter snapshot (also mirrored into the runtime
-/// monitor's DataPlaneCounters when attached).
+/// Point-in-time counter snapshot (docs/DATAPLANE.md §7).
 struct DataPlaneStats {
   std::uint64_t offered = 0;        ///< Messages handed to offer().
   std::uint64_t sent = 0;           ///< Messages put on a channel.
   std::uint64_t batches = 0;        ///< BATCH frames written.
-  std::uint64_t legacy_sends = 0;   ///< Per-message DATA frames (v2 peers).
   std::uint64_t size_flushes = 0;   ///< Route flushes on batch_max.
   std::uint64_t deadline_flushes = 0;  ///< Route flushes on flush_interval.
   std::uint64_t overflow_drops = 0;    ///< Drop-newest at a full queue.
@@ -90,7 +82,7 @@ class DataPlane {
  public:
   /// What became of an offered message.
   enum class Offer {
-    Sent,     ///< On the wire (flushed immediately or legacy DATA).
+    Sent,     ///< On the wire (flushed immediately).
     Queued,   ///< Accepted, waiting for a flush or for credit.
     Dropped,  ///< Unrouted, queue full, or the channel refused it.
   };
@@ -101,36 +93,24 @@ class DataPlane {
   DataPlane(const DataPlane&) = delete;
   DataPlane& operator=(const DataPlane&) = delete;
 
-  /// Attaches the runtime monitor's counter block; every stat increment
-  /// is mirrored there from now on. Pass nullptr to detach.
-  void set_counters(monitor::DataPlaneCounters* counters);
-
-  /// Records the protocol version `peer` announced in its HELLO. Routes
-  /// toward unannounced peers assume version 2 (per-message DATA).
-  void set_peer_version(const std::string& peer, std::uint16_t version);
-  /// The recorded version of `peer` (2 when never announced).
-  std::uint16_t peer_version(const std::string& peer) const;
-
   /// Deactivates every route (null channel) without forgetting it: queued
   /// messages and credit balances survive a route-table refresh, and
   /// add_route() with the same (client, port) re-activates in place.
   void clear_routes();
-  /// Registers/re-activates the exit route for (client, port) toward
-  /// `peer` over `channel` (null = stays inactive). Returns the stable
-  /// route id offer() takes.
+  /// Registers/re-activates the exit route for (client, port) over
+  /// `channel` (null = stays inactive). Returns the stable route id
+  /// offer() takes.
   std::size_t add_route(const std::string& client, const std::string& port,
-                        std::shared_ptr<comm::Channel> channel,
-                        const std::string& peer);
+                        std::shared_ptr<comm::Channel> channel);
   /// Registers/re-activates the entry route for (client, port): grants
-  /// flow back toward `peer` over `reverse` (the channel to the client's
-  /// node). Returns the id note_injected() takes.
+  /// flow back over `reverse` (the channel to the client's node). Returns
+  /// the id note_injected() takes.
   std::size_t add_entry_route(const std::string& client,
                               const std::string& port,
-                              std::shared_ptr<comm::Channel> reverse,
-                              const std::string& peer);
+                              std::shared_ptr<comm::Channel> reverse);
 
   /// Offers one message to an exit route (executive thread). May write
-  /// the channel (legacy path, or a size-triggered flush).
+  /// the channel (a size-triggered flush).
   Offer offer(std::size_t route, const comm::Message& message);
 
   /// Flushes pending queues (executive thread): every route whose oldest
@@ -165,22 +145,16 @@ class DataPlane {
   struct ExitRoute {
     std::string client;
     std::string port;
-    std::string peer;
     std::shared_ptr<comm::Channel> channel;
     std::deque<comm::Message> queue;
     std::uint64_t credits = 0;
     rtsj::AbsoluteTime oldest{};  ///< Enqueue time of queue.front().
     bool active = false;
-    /// The peer's announced protocol version, cached here so offer()
-    /// never does a map lookup per message; refreshed by add_route() and
-    /// set_peer_version().
-    std::uint16_t protocol = 2;
   };
 
   struct EntryRoute {
     std::string client;
     std::string port;
-    std::string peer;
     std::shared_ptr<comm::Channel> reverse;
     std::uint64_t pending = 0;  ///< Consumed but not yet granted.
     bool active = false;
@@ -226,8 +200,6 @@ class DataPlane {
                     std::size_t payload_size, Encode&& encode);
   /// Sends one entry route's pending grant (mutex held). True on success.
   bool send_grant(EntryRoute& route);
-  /// Mirrors the pool's counters into the attached monitor (mutex held).
-  void sync_pool_counters();
 
   const DataPlaneConfig config_;
   mutable std::mutex mutex_;
@@ -235,14 +207,12 @@ class DataPlane {
   std::vector<EntryRoute> entries_;
   std::map<std::pair<std::string, std::string>, std::size_t> exit_index_;
   std::map<std::pair<std::string, std::string>, std::size_t> entry_index_;
-  std::map<std::string, std::uint16_t> peer_versions_;
   /// Staged flush groups; `group_count_` of them are live. Elements keep
   /// their vector capacity between flushes (a clear() would free it).
   std::vector<FlushGroup> groups_;
   std::size_t group_count_ = 0;
   comm::BufferPool pool_;
   DataPlaneStats stats_;
-  monitor::DataPlaneCounters* counters_ = nullptr;
 };
 
 }  // namespace rtcf::dist

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
+#include <set>
 #include <stdexcept>
 #include <utility>
 
@@ -60,7 +62,6 @@ NodeRuntime::NodeRuntime(const model::Architecture& global,
   mm_options.governor_demotion = !options_.cluster_demotion;
   mode_manager_ = std::make_unique<ModeManager>(*app_, mm_options);
   launcher_ = std::make_unique<runtime::Launcher>(*app_);
-  dataplane_.set_counters(&app_->monitor().data_plane());
   routes_ = compute_routes(global, map);
   apply_routes(routes_);
 }
@@ -98,8 +99,7 @@ bool NodeRuntime::request_leave(const std::string& reason) {
 void NodeRuntime::connect_peer(const std::string& peer,
                                std::shared_ptr<comm::Channel> channel) {
   peers_[peer] = std::move(channel);
-  // Announce ourselves on the data channel: the version (and any shm
-  // offer) a v3 peer needs to switch this link off the per-message path.
+  // Announce ourselves on the data channel with any shm-ring offer.
   peers_[peer]->send(make_hello(node_, shm_token_for(peer)));
   // Exits routed before the peer channel existed pick it up now.
   apply_routes(routes_);
@@ -134,16 +134,7 @@ void NodeRuntime::stop() {
   // peer's remaining grants may never arrive once it stops serving.
   bool moved = true;
   while (moved) {
-    moved = false;
-    comm::Frame frame;
-    const auto pump = [&](const std::string& peer, comm::Channel& channel) {
-      while (channel.receive(frame, kPollZero)) {
-        handle_peer_frame(peer, frame);
-        moved = true;
-      }
-    };
-    for (auto& [peer, channel] : peers_) pump(peer, *channel);
-    for (auto& [peer, channel] : shm_links_) pump(peer, *channel);
+    moved = pump_peers();
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       if (routes_dirty_) {
@@ -190,9 +181,7 @@ NodeRuntime::GatewayStats NodeRuntime::gateway_stats() const {
 std::size_t NodeRuntime::inbox_depth() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   std::size_t depth = 0;
-  for (const InboxItem& item : inbox_) {
-    depth += item.batch.empty() ? 1 : item.batch_messages;
-  }
+  for (const InboxItem& item : inbox_) depth += item.messages;
   return depth;
 }
 
@@ -219,28 +208,7 @@ void NodeRuntime::serve_loop() {
         any = true;
       }
     }
-    for (auto& [peer, channel] : peers_) {
-      while (channel->receive(frame, kPollZero)) {
-        handle_peer_frame(peer, frame);
-        any = true;
-      }
-    }
-    {
-      // Negotiated rings are pumped like any other data channel. Copy
-      // the list out so handle_peer_frame never runs under mutex_.
-      std::vector<std::pair<std::string, std::shared_ptr<comm::Channel>>>
-          links;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        links.assign(shm_links_.begin(), shm_links_.end());
-      }
-      for (auto& [peer, channel] : links) {
-        while (channel->receive(frame, kPollZero)) {
-          handle_peer_frame(peer, frame);
-          any = true;
-        }
-      }
-    }
+    if (pump_peers()) any = true;
     // Attach retries: the creator may still be racing us to the region.
     pending_shm_attach_.erase(
         std::remove_if(pending_shm_attach_.begin(), pending_shm_attach_.end(),
@@ -268,6 +236,27 @@ void NodeRuntime::serve_loop() {
     }
     if (!any) std::this_thread::sleep_for(poll);
   }
+}
+
+bool NodeRuntime::pump_peers() {
+  // Negotiated rings are pumped like any other data channel. Copy the
+  // list out so handle_peer_frame never runs under mutex_.
+  std::vector<std::pair<std::string, std::shared_ptr<comm::Channel>>> links;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    links.assign(shm_links_.begin(), shm_links_.end());
+  }
+  bool moved = false;
+  comm::Frame frame;
+  const auto pump = [&](const std::string& peer, comm::Channel& channel) {
+    while (channel.receive(frame, kPollZero)) {
+      handle_peer_frame(peer, frame);
+      moved = true;
+    }
+  };
+  for (auto& [peer, channel] : peers_) pump(peer, *channel);
+  for (auto& [peer, channel] : links) pump(peer, *channel);
+  return moved;
 }
 
 void NodeRuntime::boundary() {
@@ -311,10 +300,8 @@ void NodeRuntime::apply_routes(const std::vector<GatewayRoute>& routes) {
       comm::Content* content =
           find_content(*app_, gateway_exit_name(route.client, route.port));
       if (auto* exit = dynamic_cast<GatewayExitContent*>(content)) {
-        const std::size_t id =
-            dataplane_.add_route(route.client, route.port,
-                                 data_channel(route.server_node),
-                                 route.server_node);
+        const std::size_t id = dataplane_.add_route(
+            route.client, route.port, data_channel(route.server_node));
         exit->set_route(&dataplane_, id);
       }
     }
@@ -325,8 +312,7 @@ void NodeRuntime::apply_routes(const std::vector<GatewayRoute>& routes) {
         // The entry's single client port is named after the *client's*
         // port (see slice_architecture), not the server's interface.
         const std::size_t id = dataplane_.add_entry_route(
-            route.client, route.port, data_channel(route.client_node),
-            route.client_node);
+            route.client, route.port, data_channel(route.client_node));
         entries_[{route.client, route.port}] =
             EntrySlot{entry, route.port, id};
       }
@@ -334,32 +320,41 @@ void NodeRuntime::apply_routes(const std::vector<GatewayRoute>& routes) {
   }
 }
 
-void NodeRuntime::drain_inbox() {
+void NodeRuntime::drain_inbox(bool hold_unrouted) {
   std::deque<InboxItem> batch;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     batch.swap(inbox_);
   }
+  // An item is held when it names a route with no entry here, or a route
+  // an earlier held item names: a route's items are all delivered or all
+  // held, so holding never reorders a route.
+  std::deque<InboxItem> held;
+  std::set<std::pair<std::string, std::string>> held_routes;
+  const auto must_hold = [&](const InboxItem& item) {
+    std::vector<std::pair<std::string, std::string>> keys;
+    bool hold = false;
+    BatchView view(item.payload);
+    BatchView::Route route;
+    while (view.next_route(route)) {
+      keys.emplace_back(route.client, route.port);
+      const auto it = entries_.find(keys.back());
+      hold = hold || it == entries_.end() || it->second.content == nullptr ||
+             held_routes.count(keys.back()) != 0;
+    }
+    if (hold) held_routes.insert(keys.begin(), keys.end());
+    return hold;
+  };
   for (InboxItem& item : batch) {
-    if (item.batch.empty()) {
-      const DataPayload& data = item.data;
-      auto it = entries_.find({data.client, data.port});
-      if (it == entries_.end() || it->second.content == nullptr) {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        ++entry_drops_;
-        continue;
-      }
-      it->second.content->inject(it->second.port_name, data.message);
-      // Consumed from the wire either way — replenish the sender's window
-      // (an unbound port is the entry's drop to count, not backpressure).
-      dataplane_.note_injected(it->second.entry_route);
+    if (hold_unrouted && must_hold(item)) {
+      held.push_back(std::move(item));
       continue;
     }
     // Deferred BATCH: decode in place, injecting straight out of the
     // receive buffer. The payload was fully validated at enqueue time,
     // so a WireError here is impossible by construction — the view's
     // bounds checks stay on as a backstop.
-    BatchView view(item.batch);
+    BatchView view(item.payload);
     BatchView::Route route;
     comm::Message message;
     while (view.next_route(route)) {
@@ -377,11 +372,18 @@ void NodeRuntime::drain_inbox() {
         view.next_message(message);
         it->second.content->inject(it->second.port_name, message);
       }
+      // Consumed from the wire either way — replenish the sender's window
+      // (an unbound port is the entry's drop to count, not backpressure).
       dataplane_.note_injected(it->second.entry_route, route.messages);
     }
     // The buffer goes back to the shared pool, where the receive loop's
     // replacement buffers come from.
-    dataplane_.pool().release(std::move(item.batch));
+    dataplane_.pool().release(std::move(item.payload));
+  }
+  if (!held.empty()) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    inbox_.insert(inbox_.begin(), std::make_move_iterator(held.begin()),
+                  std::make_move_iterator(held.end()));
   }
 }
 
@@ -389,23 +391,16 @@ void NodeRuntime::handle_peer_frame(const std::string& peer,
                                     comm::Frame& frame) {
   try {
     switch (static_cast<FrameType>(frame.type)) {
-      case FrameType::Data: {
-        InboxItem item;
-        item.data = parse_data(frame);
-        const std::lock_guard<std::mutex> lock(mutex_);
-        inbox_.push_back(std::move(item));
-        break;
-      }
       case FrameType::Batch: {
         // Validate now (truncation throws out of this scope), defer the
         // decode: the executive injects from these bytes in place.
         InboxItem item;
-        item.batch_messages =
+        item.messages =
             batch_message_count(frame.payload.data(), frame.payload.size());
-        item.batch = std::move(frame.payload);
+        item.payload = std::move(frame.payload);
         // Re-arm the receive frame with a recycled buffer of the same
         // class so the channel's capacity-reuse keeps working.
-        frame.payload = dataplane_.pool().acquire(item.batch.size());
+        frame.payload = dataplane_.pool().acquire(item.payload.size());
         frame.payload.clear();
         const std::lock_guard<std::mutex> lock(mutex_);
         inbox_.push_back(std::move(item));
@@ -415,7 +410,7 @@ void NodeRuntime::handle_peer_frame(const std::string& peer,
         dataplane_.on_credit(parse_credit(frame));
         break;
       case FrameType::Hello:
-        handle_peer_hello(peer, parse_hello_info(frame));
+        handle_peer_hello(peer, parse_hello(frame));
         break;
       default:
         break;  // Unknown data-plane types are ignored (PROTOCOL.md §7).
@@ -427,8 +422,6 @@ void NodeRuntime::handle_peer_frame(const std::string& peer,
 
 void NodeRuntime::handle_peer_hello(const std::string& peer,
                                     const HelloInfo& info) {
-  dataplane_.set_peer_version(peer, info.protocol_version);
-  if (info.protocol_version < kBatchProtocolVersion) return;
   const std::string token = shm_token_for(peer);
   if (token.empty() || token != info.shm_token) return;
   {
@@ -512,14 +505,6 @@ void NodeRuntime::handle_control(const comm::Frame& frame) {
     case FrameType::Abort:
       handle_decision(frame);
       break;
-    case FrameType::Data: {
-      // Star topologies may relay data over the control channel.
-      InboxItem item;
-      item.data = parse_data(frame);
-      const std::lock_guard<std::mutex> lock(mutex_);
-      inbox_.push_back(std::move(item));
-      break;
-    }
     case FrameType::Takeover:
       handle_takeover(frame);
       break;
@@ -535,7 +520,6 @@ void NodeRuntime::handle_control(const comm::Frame& frame) {
 
 bool NodeRuntime::fenced(std::uint64_t coord_epoch,
                          std::atomic<std::uint64_t>& counter) {
-  if (coord_epoch == 0) return false;  // pre-v4 coordinator: never fenced
   const std::uint64_t seen = coord_epoch_seen_.load(std::memory_order_relaxed);
   if (coord_epoch < seen) {
     counter.fetch_add(1, std::memory_order_relaxed);
@@ -745,36 +729,27 @@ void NodeRuntime::handle_decision(const comm::Frame& frame) {
     // parks, so a data frame can be in the channel (or already in the
     // inbox) when the decision arrives; committing first would retire
     // the old entry table and count that in-flight tail as entry drops.
-    // The executive is parked at the rendezvous, so this thread owns the
+    // A peer that committed first may already have sent traffic of the
+    // *new* wiring, addressed to entries this node creates only now: that
+    // is held for the first drain after the new routes apply. The
+    // executive is parked at the rendezvous, so this thread owns the
     // inbox and the entries exactly as the stop() drain does.
+    pump_peers();
+    drain_inbox(/*hold_unrouted=*/true);
+    bool applied = false;
     {
-      comm::Frame data;
-      std::vector<std::pair<std::string, std::shared_ptr<comm::Channel>>>
-          links;
-      {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        links.assign(shm_links_.begin(), shm_links_.end());
-      }
-      for (auto& [peer, channel] : peers_) {
-        while (channel->receive(data, kPollZero)) {
-          handle_peer_frame(peer, data);
-        }
-      }
-      for (auto& [peer, channel] : links) {
-        while (channel->receive(data, kPollZero)) {
-          handle_peer_frame(peer, data);
-        }
-      }
-    }
-    drain_inbox();
-    const bool applied = mode_manager_->commit_prepared();
-    {
+      // Held across the commit: the executive resumes inside
+      // commit_prepared, and its first boundary must already see the new
+      // routes, or it drains new-wiring traffic (the items held above)
+      // through the old entry table. Nothing the commit runs takes
+      // mutex_; the executive takes it only at its boundary.
       const std::lock_guard<std::mutex> lock(mutex_);
+      applied = mode_manager_->commit_prepared();
       staged_ = false;
       if (applied && is_reload) {
         // Adopt the staged table even when it is empty: a reload that
         // removes the last cross-node binding must clear the old routes
-        // and entry map, or late DATA frames would be injected into
+        // and entry map, or late BATCH frames would be injected into
         // retired gateways.
         routes_ = std::move(staged_routes_);
         routes_dirty_ = true;

@@ -38,77 +38,13 @@
 
 namespace rtcf::monitor {
 
-/// Gateway data-plane telemetry, fed by dist::DataPlane when a node
-/// runtime owns the assembly (docs/DATAPLANE.md §7). All counters are
-/// monotonic and relaxed-atomic: writers are the executive and serve
-/// threads, readers are operator tooling polling across threads, and no
-/// counter orders anything.
-struct DataPlaneCounters {
-  std::atomic<std::uint64_t> offered{0};    ///< Messages handed to offer().
-  std::atomic<std::uint64_t> sent{0};       ///< Messages put on a channel.
-  std::atomic<std::uint64_t> batches{0};    ///< BATCH frames written.
-  std::atomic<std::uint64_t> legacy_sends{0};  ///< Per-message DATA frames
-                                               ///< (v2 peers).
-  std::atomic<std::uint64_t> size_flushes{0};  ///< Flushes on batch_max.
-  std::atomic<std::uint64_t> deadline_flushes{0};  ///< Flushes on interval.
-  std::atomic<std::uint64_t> overflow_drops{0};  ///< Route-queue drop-newest.
-  std::atomic<std::uint64_t> send_failures{0};   ///< Channel writes refused.
-  std::atomic<std::uint64_t> credits_granted{0};  ///< Credits sent entry-side.
-  // Zero-copy path (docs/DATAPLANE.md "Zero-copy path"):
-  std::atomic<std::uint64_t> ring_frames{0};  ///< Frames encoded in the ring.
-  std::atomic<std::uint64_t> bytes_copied{0};  ///< Payload bytes staged in a
-                                               ///< user-space buffer before
-                                               ///< the transport.
-  std::atomic<std::uint64_t> pool_hits{0};    ///< BufferPool freelist hits.
-  std::atomic<std::uint64_t> pool_misses{0};  ///< BufferPool allocations.
-  std::atomic<std::uint64_t> pool_high_water{0};  ///< Gauge: max buffers
-                                                  ///< outstanding at once.
-
-  /// A torn-free point read of every counter (plain integers).
-  struct Snapshot {
-    std::uint64_t offered = 0;
-    std::uint64_t sent = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t legacy_sends = 0;
-    std::uint64_t size_flushes = 0;
-    std::uint64_t deadline_flushes = 0;
-    std::uint64_t overflow_drops = 0;
-    std::uint64_t send_failures = 0;
-    std::uint64_t credits_granted = 0;
-    std::uint64_t ring_frames = 0;
-    std::uint64_t bytes_copied = 0;
-    std::uint64_t pool_hits = 0;
-    std::uint64_t pool_misses = 0;
-    std::uint64_t pool_high_water = 0;
-  };
-
-  /// Reads each counter once (relaxed; counters are independent).
-  Snapshot snapshot() const noexcept {
-    Snapshot s;
-    s.offered = offered.load(std::memory_order_relaxed);
-    s.sent = sent.load(std::memory_order_relaxed);
-    s.batches = batches.load(std::memory_order_relaxed);
-    s.legacy_sends = legacy_sends.load(std::memory_order_relaxed);
-    s.size_flushes = size_flushes.load(std::memory_order_relaxed);
-    s.deadline_flushes = deadline_flushes.load(std::memory_order_relaxed);
-    s.overflow_drops = overflow_drops.load(std::memory_order_relaxed);
-    s.send_failures = send_failures.load(std::memory_order_relaxed);
-    s.credits_granted = credits_granted.load(std::memory_order_relaxed);
-    s.ring_frames = ring_frames.load(std::memory_order_relaxed);
-    s.bytes_copied = bytes_copied.load(std::memory_order_relaxed);
-    s.pool_hits = pool_hits.load(std::memory_order_relaxed);
-    s.pool_misses = pool_misses.load(std::memory_order_relaxed);
-    s.pool_high_water = pool_high_water.load(std::memory_order_relaxed);
-    return s;
-  }
-};
-
 /// Control-plane telemetry, fed by dist::NodeRuntime's serve thread.
 /// Counts what the two-phase handler does with frames that are *not*
 /// protocol work for this node — silently dropping them hid real routing
 /// bugs (a peer's HELLO looping back, a stale coordinator's decision).
-/// Same discipline as DataPlaneCounters: monotonic, relaxed, read by
-/// operator tooling across threads.
+/// All counters are monotonic and relaxed-atomic: the serve thread
+/// writes, operator tooling reads across threads, and no counter orders
+/// anything.
 struct ControlPlaneCounters {
   /// Frames whose type is not addressed to a node (coordinator-bound
   /// replies, unknown types) and were dropped per PROTOCOL.md §7.
@@ -208,12 +144,8 @@ class RuntimeMonitor {
   OverloadGovernor& governor() noexcept { return governor_; }
   const OverloadGovernor& governor() const noexcept { return governor_; }
 
-  /// Gateway data-plane counters. Stays all-zero on assemblies that are
-  /// not hosted by a node runtime (nothing else feeds it).
-  DataPlaneCounters& data_plane() noexcept { return data_plane_; }
-  const DataPlaneCounters& data_plane() const noexcept { return data_plane_; }
-
-  /// Control-plane counters (same ownership rule as data_plane()).
+  /// Control-plane counters. Stay all-zero on assemblies that are not
+  /// hosted by a node runtime (nothing else feeds them).
   ControlPlaneCounters& control_plane() noexcept { return control_plane_; }
   const ControlPlaneCounters& control_plane() const noexcept {
     return control_plane_;
@@ -269,7 +201,6 @@ class RuntimeMonitor {
   /// Component name -> governor tenant id of its owning tenant.
   std::map<std::string, std::size_t> component_tenants_;
   OverloadGovernor governor_;
-  DataPlaneCounters data_plane_;
   ControlPlaneCounters control_plane_;
   ViolationFn violation_fn_ = nullptr;
   void* violation_arg_ = nullptr;

@@ -1,7 +1,7 @@
-// The gateway data plane (`ctest -L dataplane`): BATCH/CREDIT codecs,
-// coalescing and credit flow control in dist::DataPlane, v2<->v3
-// negotiation, the two-node end-to-end batched path, and the virtual-time
-// mirror's replay equality (docs/DATAPLANE.md is the spec under test).
+// The gateway data plane (`ctest -L dataplane`): BATCH/CREDIT/HELLO
+// codecs, coalescing and credit flow control in dist::DataPlane, the
+// two-node end-to-end batched path, and the virtual-time mirror's replay
+// equality (docs/DATAPLANE.md is the spec under test).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -88,29 +88,11 @@ TEST(CreditCodecTest, RoundTripsAndRejectsTruncation) {
   }
 }
 
-TEST(HelloCodecTest, AnnouncesProtocolVersionAndShmToken) {
-  const comm::Frame frame = make_hello("alpha", "/rtcf.alpha.beta");
-  const HelloInfo info = parse_hello_info(frame);
+TEST(HelloCodecTest, AnnouncesNodeCodecAndShmToken) {
+  const HelloInfo info = parse_hello(make_hello("alpha", "/rtcf.alpha.beta"));
   EXPECT_EQ(info.node, "alpha");
   EXPECT_EQ(info.codec_version, kCodecVersion);
-  EXPECT_EQ(info.protocol_version, kProtocolVersion);
   EXPECT_EQ(info.shm_token, "/rtcf.alpha.beta");
-  // The v2 accessor still reads the leading fields only.
-  EXPECT_EQ(parse_hello(frame), "alpha");
-}
-
-TEST(HelloCodecTest, LegacyHelloWithoutTrailingFieldsParsesAsV2) {
-  // A pre-v3 peer's HELLO: node + codec version, nothing appended.
-  WireWriter w;
-  w.str("legacy");
-  w.u16(kCodecVersion);
-  comm::Frame frame;
-  frame.type = static_cast<std::uint16_t>(FrameType::Hello);
-  frame.payload = w.take();
-  const HelloInfo info = parse_hello_info(frame);
-  EXPECT_EQ(info.node, "legacy");
-  EXPECT_EQ(info.protocol_version, 2u);
-  EXPECT_TRUE(info.shm_token.empty());
 }
 
 // ---- DataPlane unit behaviour ---------------------------------------------
@@ -132,9 +114,8 @@ TEST(DataPlaneTest, CoalescesUntilBatchMaxThenFlushesOneFrame) {
   config.credit_window = 64;
   config.route_queue_cap = 64;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
-  const std::size_t route = plane.add_route("Producer", "out", near, "beta");
+  const std::size_t route = plane.add_route("Producer", "out", near);
 
   for (std::uint64_t i = 0; i < 3; ++i) {
     EXPECT_EQ(plane.offer(route, make_message(i)), DataPlane::Offer::Queued);
@@ -154,7 +135,6 @@ TEST(DataPlaneTest, CoalescesUntilBatchMaxThenFlushesOneFrame) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.sent, 4u);
   EXPECT_EQ(stats.size_flushes, 1u);
-  EXPECT_EQ(stats.legacy_sends, 0u);
 }
 
 TEST(DataPlaneTest, DeadlineFlushSendsAgedPartialBatches) {
@@ -162,9 +142,8 @@ TEST(DataPlaneTest, DeadlineFlushSendsAgedPartialBatches) {
   config.batch_max = 100;
   config.flush_interval = rtsj::RelativeTime::milliseconds(50);
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
-  const std::size_t route = plane.add_route("Producer", "out", near, "beta");
+  const std::size_t route = plane.add_route("Producer", "out", near);
 
   EXPECT_EQ(plane.offer(route, make_message(0)), DataPlane::Offer::Queued);
   EXPECT_EQ(plane.offer(route, make_message(1)), DataPlane::Offer::Queued);
@@ -185,9 +164,8 @@ TEST(DataPlaneTest, CreditExhaustionBackpressuresUntilReplenished) {
   config.credit_window = 2;
   config.route_queue_cap = 16;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
-  const std::size_t route = plane.add_route("Producer", "out", near, "beta");
+  const std::size_t route = plane.add_route("Producer", "out", near);
 
   EXPECT_EQ(plane.offer(route, make_message(0)), DataPlane::Offer::Sent);
   EXPECT_EQ(plane.offer(route, make_message(1)), DataPlane::Offer::Sent);
@@ -213,9 +191,8 @@ TEST(DataPlaneTest, FullRouteQueueDropsNewest) {
   config.credit_window = 0;  // sending disabled: everything queues
   config.route_queue_cap = 3;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
-  const std::size_t route = plane.add_route("Producer", "out", near, "beta");
+  const std::size_t route = plane.add_route("Producer", "out", near);
 
   for (std::uint64_t i = 0; i < 3; ++i) {
     EXPECT_EQ(plane.offer(route, make_message(i)), DataPlane::Offer::Queued);
@@ -237,26 +214,6 @@ TEST(DataPlaneTest, FullRouteQueueDropsNewest) {
   EXPECT_EQ(batch.routes[0].messages.back().sequence, 2u);
 }
 
-TEST(DataPlaneTest, LegacyPeerFallsBackToPerMessageData) {
-  DataPlane plane;  // defaults; peer never announced v3
-  auto [near, far] = comm::LoopbackChannel::make_pair();
-  const std::size_t route = plane.add_route("Producer", "out", near, "beta");
-  EXPECT_EQ(plane.peer_version("beta"), 2u);
-
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(plane.offer(route, make_message(i)), DataPlane::Offer::Sent);
-  }
-  const auto frames = drain(*far);
-  ASSERT_EQ(frames.size(), 3u) << "one DATA frame per message";
-  for (std::uint64_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(frames[i].type, static_cast<std::uint16_t>(FrameType::Data));
-    EXPECT_EQ(parse_data(frames[i]).message.sequence, i);
-  }
-  const DataPlaneStats stats = plane.stats();
-  EXPECT_EQ(stats.legacy_sends, 3u);
-  EXPECT_EQ(stats.batches, 0u);
-}
-
 TEST(DataPlaneTest, QueuedMessagesSurviveARouteRefresh) {
   DataPlaneConfig config;
   config.batch_max = 100;
@@ -264,9 +221,8 @@ TEST(DataPlaneTest, QueuedMessagesSurviveARouteRefresh) {
   config.credit_window = 0;
   config.route_queue_cap = 16;
   DataPlane plane(config);
-  plane.set_peer_version("beta", kProtocolVersion);
   auto [near, far] = comm::LoopbackChannel::make_pair();
-  const std::size_t route = plane.add_route("Producer", "out", near, "beta");
+  const std::size_t route = plane.add_route("Producer", "out", near);
   EXPECT_EQ(plane.offer(route, make_message(0)), DataPlane::Offer::Queued);
   EXPECT_EQ(plane.offer(route, make_message(1)), DataPlane::Offer::Queued);
 
@@ -276,8 +232,7 @@ TEST(DataPlaneTest, QueuedMessagesSurviveARouteRefresh) {
   EXPECT_EQ(plane.offer(route, make_message(9)), DataPlane::Offer::Dropped)
       << "inactive routes accept nothing";
   auto [near2, far2] = comm::LoopbackChannel::make_pair();
-  const std::size_t again =
-      plane.add_route("Producer", "out", near2, "beta");
+  const std::size_t again = plane.add_route("Producer", "out", near2);
   EXPECT_EQ(again, route) << "the (client, port) key is the identity";
 
   plane.on_credit({"Producer", "out", 8});
@@ -293,8 +248,7 @@ TEST(DataPlaneTest, EntrySideGrantsOnConsumeThreshold) {
   config.credit_window = 8;  // grant threshold max(1, 8/2) = 4
   DataPlane plane(config);
   auto [reverse, far] = comm::LoopbackChannel::make_pair();
-  const std::size_t entry =
-      plane.add_entry_route("Producer", "out", reverse, "alpha");
+  const std::size_t entry = plane.add_entry_route("Producer", "out", reverse);
 
   plane.note_injected(entry, 3);
   EXPECT_TRUE(drain(*far).empty()) << "below the replenish threshold";
@@ -387,7 +341,7 @@ NodeMap bridge_map() {
   return map;
 }
 
-TEST(DataPlaneEndToEndTest, TwoV3NodesBridgeBatchedTrafficWithoutLoss) {
+TEST(DataPlaneEndToEndTest, TwoNodesBridgeBatchedTrafficWithoutLoss) {
   const Architecture global = bridge_arch();
   const NodeMap map = bridge_map();
   NodeRuntime::Options options;
@@ -405,10 +359,6 @@ TEST(DataPlaneEndToEndTest, TwoV3NodesBridgeBatchedTrafficWithoutLoss) {
   alpha.stop();
   beta.stop();
 
-  // HELLO negotiation made both directions v3.
-  EXPECT_EQ(alpha.data_plane().peer_version("beta"), kProtocolVersion);
-  EXPECT_EQ(beta.data_plane().peer_version("alpha"), kProtocolVersion);
-
   const auto* producer = dynamic_cast<const DpProducerImpl*>(
       alpha.application().content("Producer"));
   const auto* sink =
@@ -420,58 +370,40 @@ TEST(DataPlaneEndToEndTest, TwoV3NodesBridgeBatchedTrafficWithoutLoss) {
   EXPECT_EQ(alpha.gateway_stats().forwarded, producer->sent());
   EXPECT_EQ(beta.gateway_stats().injected, sink->received());
 
-  // The bridged traffic rode BATCH frames. (A handful of messages may go
-  // out as legacy DATA before the serve thread processes beta's HELLO,
-  // so the legacy counter is not asserted zero here — the unit tests pin
-  // the pure-v3 behaviour.)
+  // Every bridged message rode a BATCH frame.
   const DataPlaneStats stats = alpha.data_plane().stats();
   EXPECT_GT(stats.batches, 0u);
+  EXPECT_EQ(stats.sent, producer->sent());
   EXPECT_EQ(stats.queued, 0u) << "stop() drains every route";
 }
 
-TEST(DataPlaneEndToEndTest, UnannouncedPeerGetsLegacyDataThenUpgrades) {
+TEST(DataPlaneEndToEndTest, SilentPeerIsBatchedFromTheFirstMessage) {
   const Architecture global = bridge_arch();
   const NodeMap map = bridge_map();
   NodeRuntime::Options options;
-  options.run_duration = rtsj::RelativeTime::milliseconds(400);
+  options.run_duration = rtsj::RelativeTime::milliseconds(200);
   NodeRuntime alpha(global, map, "alpha", options);
-  // The far end of the peer channel is the test, playing beta's transport:
-  // first silent (alpha must assume v2), then announcing v3 by HELLO.
+  // The far end of the peer channel is the test, playing a beta that
+  // never sends a frame: no HELLO is needed before alpha batches.
   auto [ab, ba] = comm::LoopbackChannel::make_pair();
   alpha.connect_peer("beta", ab);
-
   alpha.start();
-  std::uint64_t data_frames = 0;
-  std::uint64_t batch_frames = 0;
-  const auto pump = [&](int millis) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(millis);
-    comm::Frame frame;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (!ba->receive(frame, rtsj::RelativeTime::milliseconds(10))) {
-        continue;
-      }
-      if (frame.type == static_cast<std::uint16_t>(FrameType::Data)) {
-        ++data_frames;
-      } else if (frame.type ==
-                 static_cast<std::uint16_t>(FrameType::Batch)) {
-        batch_frames += parse_batch(frame).routes[0].messages.size();
-      }
-    }
-  };
-
-  pump(100);
-  EXPECT_EQ(alpha.data_plane().peer_version("beta"), 2u);
-  EXPECT_GT(data_frames, 0u) << "pre-HELLO traffic uses per-message DATA";
-  EXPECT_EQ(batch_frames, 0u);
-
-  // beta announces v3: alpha's exit route switches to BATCH mid-run.
-  ba->send(make_hello("beta"));
-  pump(200);
-  EXPECT_EQ(alpha.data_plane().peer_version("beta"), kProtocolVersion);
-  EXPECT_GT(batch_frames, 0u) << "post-HELLO traffic coalesces";
-
+  alpha.join_executive();
   alpha.stop();
+
+  std::uint64_t batched = 0;
+  for (const comm::Frame& frame : drain(*ba)) {
+    if (frame.type == static_cast<std::uint16_t>(FrameType::Hello)) continue;
+    ASSERT_EQ(frame.type, static_cast<std::uint16_t>(FrameType::Batch));
+    for (const BatchRoute& route : parse_batch(frame).routes) {
+      batched += route.messages.size();
+    }
+  }
+  const auto* producer = dynamic_cast<const DpProducerImpl*>(
+      alpha.application().content("Producer"));
+  ASSERT_NE(producer, nullptr);
+  EXPECT_GT(batched, 0u);
+  EXPECT_EQ(batched, producer->sent());
 }
 
 // ---- the virtual-time mirror ----------------------------------------------

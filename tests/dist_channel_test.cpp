@@ -2,7 +2,13 @@
 // length-prefixed framing (`ctest -L dist`).
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <thread>
+#include <vector>
 
 #include "comm/channel.hpp"
 
@@ -112,6 +118,37 @@ TEST(TcpChannelTest, FramesCrossTheSocketWithLengthPrefixes) {
 
   server->close();
   EXPECT_FALSE(client->receive(frame, rtsj::RelativeTime::milliseconds(200)));
+}
+
+TEST(TcpChannelTest, ForeignWireVersionClosesTheChannel) {
+  auto server = TcpChannel::listen(0);
+  ASSERT_NE(server, nullptr);
+  // A raw socket plays a peer built with another wire version: the frame
+  // header is well formed, only its version field differs.
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server->bound_port());
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  ASSERT_TRUE(server->accept_one());
+
+  // u32 length (version + type + one payload byte), u16 version, u16
+  // type, payload — all little-endian.
+  std::vector<std::uint8_t> bytes = {5, 0, 0, 0, 0, 0, 1, 0, 0x42};
+  const std::uint16_t foreign = kWireVersion + 1;
+  bytes[4] = static_cast<std::uint8_t>(foreign & 0xFF);
+  bytes[5] = static_cast<std::uint8_t>(foreign >> 8);
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+
+  Frame frame;
+  EXPECT_FALSE(server->receive(frame, rtsj::RelativeTime::milliseconds(2000)));
+  EXPECT_FALSE(server->open()) << "a foreign version is unrecoverable";
+  ::close(fd);
 }
 
 }  // namespace

@@ -264,23 +264,6 @@ TEST(ProtocolTest, PrepareReloadFrameRoundTrip) {
   EXPECT_TRUE(parsed.routes[0] == payload.routes[0]);
 }
 
-TEST(ProtocolTest, DataFrameCarriesTheMessageVerbatim) {
-  DataPayload payload;
-  payload.client = "MonitoringSystem";
-  payload.port = "iAudit";
-  payload.message.type_id = 5;
-  payload.message.sequence = 99;
-  payload.message.timestamp_ns = 123456789;
-  payload.message.store(3.25);
-  const DataPayload parsed = parse_data(make_data(payload));
-  EXPECT_EQ(parsed.client, "MonitoringSystem");
-  EXPECT_EQ(parsed.port, "iAudit");
-  EXPECT_EQ(parsed.message.type_id, 5u);
-  EXPECT_EQ(parsed.message.sequence, 99u);
-  EXPECT_EQ(parsed.message.timestamp_ns, 123456789);
-  EXPECT_DOUBLE_EQ(parsed.message.load<double>(), 3.25);
-}
-
 TEST(ProtocolTest, RepliesDecisionsHelloDemoteRoundTrip) {
   NodeReplyPayload reply;
   reply.txn = 3;
@@ -306,7 +289,7 @@ TEST(ProtocolTest, RepliesDecisionsHelloDemoteRoundTrip) {
   EXPECT_EQ(parsed_decision.txn, 9u);
   EXPECT_EQ(parsed_decision.reason, "straggler");
 
-  EXPECT_EQ(parse_hello(make_hello("gamma")), "gamma");
+  EXPECT_EQ(parse_hello(make_hello("gamma")).node, "gamma");
 
   DemotePayload demote;
   demote.node = "alpha";
@@ -318,121 +301,120 @@ TEST(ProtocolTest, RepliesDecisionsHelloDemoteRoundTrip) {
   EXPECT_EQ(parsed_demote.level, 2);
 }
 
-TEST(ProtocolTest, HelloParsesAtEveryProtocolVersionBoundary) {
-  // A v2 peer's HELLO stops after the codec version; a v3 peer appends
-  // the protocol version and shm-ring offer; v4 appends the resync
-  // epoch. Each older dialect must keep parsing, with the absent fields
-  // at their documented defaults (docs/PROTOCOL.md §7).
-  WireWriter v2;
-  v2.str("gamma");
-  v2.u16(kCodecVersion);
-  comm::Frame hello_v2;
-  hello_v2.type = static_cast<std::uint16_t>(FrameType::Hello);
-  hello_v2.payload = v2.data();
-  const HelloInfo info_v2 = parse_hello_info(hello_v2);
-  EXPECT_EQ(info_v2.node, "gamma");
-  EXPECT_EQ(info_v2.protocol_version, 2);
-  EXPECT_EQ(info_v2.shm_token, "");
-  EXPECT_EQ(info_v2.resync_epoch, 0u);
+TEST(ProtocolTest, HelloRoundTripsEveryField) {
+  const HelloInfo info = parse_hello(make_hello("gamma", "ring-token", 42));
+  EXPECT_EQ(info.node, "gamma");
+  EXPECT_EQ(info.codec_version, kCodecVersion);
+  EXPECT_EQ(info.shm_token, "ring-token");
+  EXPECT_EQ(info.resync_epoch, 42u);
+}
 
-  WireWriter v3;
-  v3.str("gamma");
-  v3.u16(kCodecVersion);
-  v3.u16(3);
-  v3.str("ring-token");
-  comm::Frame hello_v3;
-  hello_v3.type = static_cast<std::uint16_t>(FrameType::Hello);
-  hello_v3.payload = v3.data();
-  const HelloInfo info_v3 = parse_hello_info(hello_v3);
-  EXPECT_EQ(info_v3.node, "gamma");
-  EXPECT_EQ(info_v3.protocol_version, 3);
-  EXPECT_EQ(info_v3.shm_token, "ring-token");
-  EXPECT_EQ(info_v3.resync_epoch, 0u);
-
-  const comm::Frame hello_v4 = make_hello("gamma", "ring-token", 42);
-  const HelloInfo info_v4 = parse_hello_info(hello_v4);
-  EXPECT_EQ(info_v4.node, "gamma");
-  EXPECT_EQ(info_v4.protocol_version, kProtocolVersion);
-  EXPECT_EQ(info_v4.shm_token, "ring-token");
-  EXPECT_EQ(info_v4.resync_epoch, 42u);
-
-  // Every prefix of the full v4 payload must parse at exactly the three
-  // dialect boundaries and be rejected everywhere else — the appended
-  // membership fields must not have opened any torn-frame acceptance.
-  WireWriter boundary_v3;
-  boundary_v3.str("gamma");
-  boundary_v3.u16(kCodecVersion);
-  boundary_v3.u16(kProtocolVersion);
-  boundary_v3.str("ring-token");
-  const std::size_t v2_len = v2.data().size();
-  const std::size_t v3_len = boundary_v3.data().size();
-  for (std::size_t cut = 0; cut < hello_v4.payload.size(); ++cut) {
-    comm::Frame torn;
-    torn.type = static_cast<std::uint16_t>(FrameType::Hello);
-    torn.payload.assign(hello_v4.payload.begin(),
-                        hello_v4.payload.begin() + cut);
-    if (cut == v2_len || cut == v3_len) {
-      EXPECT_EQ(parse_hello_info(torn).node, "gamma")
-          << "dialect boundary at " << cut;
-    } else {
-      EXPECT_THROW(parse_hello_info(torn), WireError)
-          << "prefix length " << cut;
-    }
+/// Every proper prefix of `full` must be a WireError: there is one wire
+/// version, so no shorter layout is a valid dialect.
+template <typename Parse>
+void expect_every_cut_rejected(const comm::Frame& full, Parse parse) {
+  for (std::size_t cut = 0; cut < full.payload.size(); ++cut) {
+    comm::Frame torn = full;
+    torn.payload.resize(cut);
+    EXPECT_THROW(parse(torn), WireError) << "cut at " << cut;
   }
 }
 
-TEST(ProtocolTest, PreV4FramesParseWithCoordinatorEpochZero) {
-  // Fencing is an appended v4 field: a frame from a pre-v4 sender stops
-  // before it, and the receiver must default the epoch to 0 — the
-  // never-fenced marker (docs/MEMBERSHIP.md §6).
-  WireWriter d;
-  d.u64(9);
-  d.str("late straggler");
-  comm::Frame decision;
-  decision.type = static_cast<std::uint16_t>(FrameType::Abort);
-  decision.payload = d.data();
-  const DecisionPayload parsed_decision = parse_decision(decision);
-  EXPECT_EQ(parsed_decision.txn, 9u);
-  EXPECT_EQ(parsed_decision.reason, "late straggler");
-  EXPECT_EQ(parsed_decision.coord_epoch, 0u);
+PrepareReloadPayload sample_prepare_reload() {
+  PrepareReloadPayload payload;
+  payload.txn = 42;
+  payload.expect_epoch = 7;
+  payload.plan = encode_plan(sample_plan());
+  payload.delta = encode_delta(sample_delta());
+  payload.routes.push_back({"MonitoringSystem", "iAudit", "alpha",
+                            "AuditLog", "iAudit", "beta"});
+  payload.coord_epoch = 3;
+  return payload;
+}
 
-  WireWriter m;
-  m.u64(4);
-  m.str("Degraded");
-  comm::Frame mode;
-  mode.type = static_cast<std::uint16_t>(FrameType::PrepareMode);
-  mode.payload = m.data();
-  const PrepareModePayload parsed_mode = parse_prepare_mode(mode);
-  EXPECT_EQ(parsed_mode.txn, 4u);
-  EXPECT_EQ(parsed_mode.mode, "Degraded");
-  EXPECT_EQ(parsed_mode.coord_epoch, 0u);
+TEST(ProtocolTest, HelloRejectsEveryTruncation) {
+  expect_every_cut_rejected(make_hello("gamma", "ring-token", 42),
+                            [](const comm::Frame& f) { parse_hello(f); });
+}
 
-  WireWriter p;
-  p.u64(42);
-  p.u64(7);
-  p.bytes(encode_plan(sample_plan()));
-  p.bytes(encode_delta(sample_delta()));
-  write_routes(p, {});
-  comm::Frame prepare;
-  prepare.type = static_cast<std::uint16_t>(FrameType::PrepareReload);
-  prepare.payload = p.data();
-  const PrepareReloadPayload parsed_prepare = parse_prepare_reload(prepare);
-  EXPECT_EQ(parsed_prepare.txn, 42u);
-  EXPECT_EQ(parsed_prepare.expect_epoch, 7u);
-  EXPECT_EQ(parsed_prepare.coord_epoch, 0u);
+TEST(ProtocolTest, PrepareReloadRejectsEveryTruncation) {
+  expect_every_cut_rejected(
+      make_prepare_reload(sample_prepare_reload()),
+      [](const comm::Frame& f) { parse_prepare_reload(f); });
+}
 
-  // A v4 sender's epoch survives the round trip on all three frames.
-  DecisionPayload v4_decision;
-  v4_decision.txn = 9;
-  v4_decision.coord_epoch = 3;
-  EXPECT_EQ(parse_decision(make_decision(FrameType::Commit, v4_decision))
+TEST(ProtocolTest, PrepareModeRejectsEveryTruncation) {
+  PrepareModePayload payload;
+  payload.txn = 4;
+  payload.mode = "Degraded";
+  payload.coord_epoch = 3;
+  expect_every_cut_rejected(
+      make_prepare_mode(payload),
+      [](const comm::Frame& f) { parse_prepare_mode(f); });
+}
+
+TEST(ProtocolTest, CommitAndAbortRejectEveryTruncation) {
+  DecisionPayload payload;
+  payload.txn = 9;
+  payload.reason = "straggler";
+  payload.coord_epoch = 3;
+  for (const FrameType type : {FrameType::Commit, FrameType::Abort}) {
+    expect_every_cut_rejected(
+        make_decision(type, payload),
+        [](const comm::Frame& f) { parse_decision(f); });
+  }
+}
+
+TEST(ProtocolTest, CoordinatorEpochRoundTripsOnPrepareAndDecisionFrames) {
+  EXPECT_EQ(parse_prepare_reload(make_prepare_reload(sample_prepare_reload()))
                 .coord_epoch,
             3u);
-  PrepareModePayload v4_mode;
-  v4_mode.txn = 4;
-  v4_mode.mode = "Degraded";
-  v4_mode.coord_epoch = 3;
-  EXPECT_EQ(parse_prepare_mode(make_prepare_mode(v4_mode)).coord_epoch, 3u);
+  PrepareModePayload mode;
+  mode.txn = 4;
+  mode.mode = "Degraded";
+  mode.coord_epoch = 5;
+  EXPECT_EQ(parse_prepare_mode(make_prepare_mode(mode)).coord_epoch, 5u);
+  DecisionPayload decision;
+  decision.txn = 9;
+  decision.coord_epoch = 6;
+  EXPECT_EQ(parse_decision(make_decision(FrameType::Commit, decision))
+                .coord_epoch,
+            6u);
+}
+
+TEST(ProtocolTest, TrailingBytesAfterTheLastKnownFieldAreIgnored) {
+  // Forward compatibility (docs/PROTOCOL.md §7): a later field appended
+  // to a payload must not break a receiver that does not know it.
+  const auto extended = [](comm::Frame frame) {
+    frame.payload.insert(frame.payload.end(), {0xAB, 0xCD, 0xEF});
+    return frame;
+  };
+  const HelloInfo hello =
+      parse_hello(extended(make_hello("gamma", "ring-token", 42)));
+  EXPECT_EQ(hello.shm_token, "ring-token");
+  EXPECT_EQ(hello.resync_epoch, 42u);
+
+  const PrepareReloadPayload prepare = parse_prepare_reload(
+      extended(make_prepare_reload(sample_prepare_reload())));
+  EXPECT_EQ(prepare.txn, 42u);
+  ASSERT_EQ(prepare.routes.size(), 1u);
+  EXPECT_EQ(prepare.coord_epoch, 3u);
+
+  PrepareModePayload mode;
+  mode.txn = 4;
+  mode.mode = "Degraded";
+  mode.coord_epoch = 5;
+  EXPECT_EQ(parse_prepare_mode(extended(make_prepare_mode(mode))).coord_epoch,
+            5u);
+
+  DecisionPayload decision;
+  decision.txn = 9;
+  decision.reason = "straggler";
+  decision.coord_epoch = 6;
+  const DecisionPayload parsed =
+      parse_decision(extended(make_decision(FrameType::Abort, decision)));
+  EXPECT_EQ(parsed.reason, "straggler");
+  EXPECT_EQ(parsed.coord_epoch, 6u);
 }
 
 TEST(ProtocolTest, MembershipFramesRoundTrip) {

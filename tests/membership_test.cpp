@@ -4,13 +4,17 @@
 // of docs/MEMBERSHIP.md: join (admit + re-shard onto the joiner), leave
 // (drain-first eviction with a zero-loss audit), rejoin after eviction,
 // standby takeover mid-PREPARE and mid-COMMIT (lease expiry, promotion,
-// decision redrive), stale-coordinator fencing by epoch, the misrouted-
-// control-frame counter, and a byte-for-byte replay of a 16-node churn
-// drill through the adversity engine.
+// decision redrive), stale-coordinator fencing by epoch (epoch 0
+// included), a re-shard whose sender commits before its receiver, the
+// misrouted-control-frame counter, and a byte-for-byte replay of a
+// 16-node churn drill through the adversity engine.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <memory>
 #include <thread>
+#include <utility>
 
 #include "adversity/drill.hpp"
 #include "dist/coordinator.hpp"
@@ -478,6 +482,71 @@ TEST(MembershipTest, StandbyTakeoverMidPrepareFallsBackToPresumedAbort) {
   cluster.beta->stop();
 }
 
+TEST(MembershipTest, ReshardLosesNothingWhenTheSenderCommitsFirst) {
+  // Sink moves beta -> gamma. The COMMIT to gamma is held back until
+  // alpha has committed and its producer has sent BATCH frames of the new
+  // wiring toward gamma. Gamma's commit-time drain runs before gamma has
+  // the entry those frames address: it must keep them for that entry,
+  // not count them as entry drops.
+  const Architecture global = pipeline_arch();
+  NodeRuntime::Options options;
+  options.run_duration = rtsj::RelativeTime::milliseconds(1500);
+  std::map<std::string, std::unique_ptr<NodeRuntime>> nodes;
+  std::map<std::string, std::shared_ptr<comm::Channel>> coordinator_ends;
+  for (const char* name : {"alpha", "beta", "gamma"}) {
+    nodes[name] = std::make_unique<NodeRuntime>(
+        global, three_node_map("beta"), name, options);
+    auto [node_end, coordinator_end] = comm::LoopbackChannel::make_pair();
+    nodes[name]->attach_control(node_end);
+    coordinator_ends[name] = coordinator_end;
+  }
+  ReconfigCoordinator::Options copts;
+  copts.prepare_timeout = rtsj::RelativeTime::milliseconds(1500);
+  ReconfigCoordinator coordinator(three_node_map("beta"), copts);
+  for (const auto& [name, channel] : coordinator_ends) {
+    coordinator.attach(name, channel, global);
+  }
+  for (const auto& [a, b] : {std::pair<const char*, const char*>{"alpha",
+                                                                 "beta"},
+                             {"alpha", "gamma"},
+                             {"beta", "gamma"}}) {
+    auto [ab, ba] = comm::LoopbackChannel::make_pair();
+    nodes[a]->connect_peer(b, ab);
+    nodes[b]->connect_peer(a, ba);
+  }
+  for (auto& [name, node] : nodes) node->start();
+  sleep_ms(80);  // traffic flows Producer@alpha -> Sink@beta
+
+  ReconfigCoordinator::FaultHooks hooks;
+  hooks.before_decision = [](const std::string& node, std::uint64_t, bool) {
+    if (node == "gamma") sleep_ms(60);  // producer period is 5 ms
+    return true;
+  };
+  coordinator.set_fault_hooks(&hooks);
+  const auto moved = coordinator.reshard(global, three_node_map("gamma"));
+  coordinator.set_fault_hooks(nullptr);
+  ASSERT_TRUE(moved.committed) << moved.reason;
+  sleep_ms(100);  // traffic flows Producer@alpha -> Sink@gamma
+
+  const auto quiesced = coordinator.coordinate_transition("Quiesce");
+  EXPECT_TRUE(quiesced.committed) << quiesced.reason;
+  sleep_ms(120);
+  for (auto& [name, node] : nodes) node->stop();
+
+  const auto* producer = dynamic_cast<const PulseImpl*>(
+      nodes["alpha"]->application().content("Producer"));
+  const auto* sink_beta = dynamic_cast<const DrainImpl*>(
+      nodes["beta"]->application().content("Sink"));
+  const auto* sink_gamma = dynamic_cast<const DrainImpl*>(
+      nodes["gamma"]->application().content("Sink"));
+  ASSERT_NE(producer, nullptr);
+  ASSERT_NE(sink_beta, nullptr);
+  ASSERT_NE(sink_gamma, nullptr);
+  EXPECT_GT(sink_gamma->received(), 0u);
+  EXPECT_EQ(nodes["gamma"]->gateway_stats().entry_dropped, 0u);
+  EXPECT_EQ(producer->sent(), sink_beta->received() + sink_gamma->received());
+}
+
 TEST(MembershipTest, MisroutedControlFramesAreCountedNotSilentlyDropped) {
   const Architecture global = pipeline_arch();
   const NodeMap map = two_node_map();
@@ -508,6 +577,62 @@ TEST(MembershipTest, MisroutedControlFramesAreCountedNotSilentlyDropped) {
   EXPECT_EQ(counters.fenced_prepares, 0u);
   EXPECT_EQ(counters.fenced_decisions, 0u);
   EXPECT_EQ(counters.takeovers, 0u);
+}
+
+TEST(MembershipTest, EpochZeroIsFencedOnceACoordinatorHasSpoken) {
+  // Epoch 0 is an ordinary lowest epoch, not a "never fenced" marker:
+  // after any coordinator has claimed epoch 1, frames stamped 0 are stale.
+  const Architecture global = pipeline_arch();
+  const NodeMap map = two_node_map();
+  NodeRuntime::Options options;
+  options.run_duration = rtsj::RelativeTime::milliseconds(200);
+  NodeRuntime alpha(global, map, "alpha", options);
+  auto [a_node, a_coord] = comm::LoopbackChannel::make_pair();
+  alpha.attach_control(a_node);
+  alpha.start();
+
+  TakeoverPayload takeover;
+  takeover.coordinator = "coordinator";
+  takeover.coord_epoch = 1;
+  a_coord->send(make_takeover(takeover));
+  PrepareModePayload prepare;
+  prepare.txn = 7;
+  prepare.mode = "Quiesce";
+  prepare.coord_epoch = 0;
+  a_coord->send(make_prepare_mode(prepare));
+
+  // The node answers the takeover with HELLO, then votes on the prepare.
+  NodeReplyPayload vote;
+  std::uint16_t vote_type = 0;
+  comm::Frame frame;
+  while (vote_type == 0 &&
+         a_coord->receive(frame, rtsj::RelativeTime::milliseconds(2000))) {
+    if (frame.type == static_cast<std::uint16_t>(FrameType::Hello)) continue;
+    vote_type = frame.type;
+    vote = parse_node_reply(frame);
+  }
+  EXPECT_EQ(vote_type, static_cast<std::uint16_t>(FrameType::PrepareFail));
+  EXPECT_EQ(vote.txn, 7u);
+  EXPECT_NE(vote.reason.find("fenced: stale coordinator epoch 0"),
+            std::string::npos)
+      << vote.reason;
+
+  DecisionPayload abort;
+  abort.txn = 7;
+  abort.coord_epoch = 0;
+  a_coord->send(make_decision(FrameType::Abort, abort));
+  // A fenced decision gets no reply; wait for the serve thread to count it.
+  const auto& control = alpha.application().monitor().control_plane();
+  for (int i = 0; i < 200 && control.fenced_decisions.load() == 0; ++i) {
+    sleep_ms(10);
+  }
+  alpha.stop();
+
+  const auto counters = control.snapshot();
+  EXPECT_EQ(alpha.coord_epoch_seen(), 1u);
+  EXPECT_EQ(counters.takeovers, 1u);
+  EXPECT_EQ(counters.fenced_prepares, 1u);
+  EXPECT_EQ(counters.fenced_decisions, 1u);
 }
 
 TEST(MembershipTest, SixteenNodeChurnDrillReplaysByteForByte) {

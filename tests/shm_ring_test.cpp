@@ -1,6 +1,7 @@
 // Shared-memory ring transport tests (`ctest -L dataplane`): creation and
 // attach validation, bidirectional framing, ring wrap-around, the
-// torn-record close rule, and the bounded send stall on a full ring
+// torn-record and foreign-wire-version close rules, and the bounded send
+// stall on a full ring
 // (docs/DATAPLANE.md §5 is the normative region layout under test).
 #include <gtest/gtest.h>
 
@@ -54,6 +55,10 @@ struct RawRegion {
   }
   bool ok() const { return base != nullptr; }
   void store_u32(std::size_t offset, std::uint32_t value) {
+    std::memcpy(static_cast<std::uint8_t*>(base) + offset, &value,
+                sizeof(value));
+  }
+  void store_u16(std::size_t offset, std::uint16_t value) {
     std::memcpy(static_cast<std::uint8_t*>(base) + offset, &value,
                 sizeof(value));
   }
@@ -150,6 +155,27 @@ TEST(ShmRingTest, TornRecordSizeClosesTheChannel) {
     RawRegion raw(name);
     ASSERT_TRUE(raw.ok());
     raw.store_u32(ShmRingChannel::kHeaderBytes, 0xFFFFFFF0u);
+  }
+  Frame received;
+  EXPECT_FALSE(attacher->receive(received, rtsj::RelativeTime::zero()));
+  EXPECT_FALSE(attacher->open());
+  EXPECT_FALSE(creator->open()) << "the close is region-wide";
+}
+
+TEST(ShmRingTest, ForeignWireVersionClosesTheChannel) {
+  const std::string name = region_name("wire");
+  auto creator = ShmRingChannel::create(name, 4096);
+  ASSERT_NE(creator, nullptr);
+  auto attacher = ShmRingChannel::attach(name);
+  ASSERT_NE(attacher, nullptr);
+  ASSERT_TRUE(creator->send(make_frame(7, 32)));
+
+  // Rewrite the pending record's u16 wire version (right after its u32
+  // length) as a peer built with another version would have written it.
+  {
+    RawRegion raw(name);
+    ASSERT_TRUE(raw.ok());
+    raw.store_u16(ShmRingChannel::kHeaderBytes + 4, kWireVersion + 1);
   }
   Frame received;
   EXPECT_FALSE(attacher->receive(received, rtsj::RelativeTime::zero()));

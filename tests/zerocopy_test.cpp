@@ -1,5 +1,5 @@
 // The zero-copy data plane (`ctest -L zerocopy`): golden byte-for-byte
-// equality between the span encoders and the contiguous v3 codecs, the
+// equality between the span encoders and the contiguous codecs, the
 // in-place BatchView decoder against parse_batch (including every-prefix
 // truncation), the shm ring's reserve/commit protocol (in-ring and
 // wrapped-scratch reservations), TcpChannel scatter-gather framing, the
@@ -7,8 +7,8 @@
 // (docs/DATAPLANE.md "Zero-copy path" is the spec under test).
 //
 // The one invariant everything here defends: the zero-copy paths change
-// HOW bytes reach the transport, never WHICH bytes — docs/PROTOCOL.md v3
-// framing stays byte-identical, so a v3 peer cannot tell the paths apart.
+// HOW bytes reach the transport, never WHICH bytes — docs/PROTOCOL.md
+// framing stays byte-identical, so a peer cannot tell the paths apart.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -129,18 +129,7 @@ TEST(BatchSpanEncoderTest, GoldenAgainstMakeBatch) {
             0);
 }
 
-TEST(SpanEncoderTest, DataAndCreditGoldenAgainstContiguousCodecs) {
-  const DataPayload data{"Producer", "out", make_message(5)};
-  const comm::Frame golden_data = make_data(data);
-  std::vector<std::uint8_t> buffer(
-      data_payload_wire_bytes(data.client, data.port));
-  SpanWriter dw(WireSpan{buffer.data(), buffer.size()});
-  encode_data_payload(dw, data.client, data.port, data.message);
-  ASSERT_EQ(dw.used(), golden_data.payload.size());
-  EXPECT_EQ(std::memcmp(buffer.data(), golden_data.payload.data(),
-                        golden_data.payload.size()),
-            0);
-
+TEST(SpanEncoderTest, CreditGoldenAgainstMakeCredit) {
   const CreditPayload credit{"Producer", "out", 128};
   const comm::Frame golden_credit = make_credit(credit);
   std::vector<std::uint8_t> cbuf(
@@ -315,8 +304,7 @@ TEST(DataPlaneZeroCopyTest, ShmFlushEncodesInRingAndStaysGolden) {
   config.batch_max = 4;
   config.credit_window = 64;
   DataPlane plane(config);
-  plane.set_peer_version("peer", kProtocolVersion);
-  const std::size_t route = plane.add_route("C", "out", creator, "peer");
+  const std::size_t route = plane.add_route("C", "out", creator);
 
   BatchPayload expected;
   expected.routes.push_back({"C", "out", {}});
@@ -349,8 +337,7 @@ TEST(DataPlaneZeroCopyTest, PooledFallbackIsGoldenAndRecycles) {
   config.batch_max = 4;
   config.credit_window = 64;
   DataPlane plane(config);
-  plane.set_peer_version("peer", kProtocolVersion);
-  const std::size_t route = plane.add_route("C", "out", near, "peer");
+  const std::size_t route = plane.add_route("C", "out", near);
 
   // Two size flushes: the first warms the pool (one miss), the second
   // must run entirely on the recycled buffer (a hit, no new miss).
@@ -377,21 +364,6 @@ TEST(DataPlaneZeroCopyTest, PooledFallbackIsGoldenAndRecycles) {
   EXPECT_EQ(stats.pool_misses, 1u)
       << "steady-state flushing must recycle, not allocate";
   EXPECT_GE(stats.pool_hits, 1u);
-}
-
-TEST(DataPlaneZeroCopyTest, LegacyDataPathStaysGolden) {
-  auto [near, far] = comm::LoopbackChannel::make_pair();
-  DataPlane plane;
-  plane.set_peer_version("peer", 2);  // v2: per-message DATA frames
-  const std::size_t route = plane.add_route("C", "out", near, "peer");
-
-  const comm::Message m = make_message(77);
-  EXPECT_EQ(plane.offer(route, m), DataPlane::Offer::Sent);
-  comm::Frame received;
-  ASSERT_TRUE(far->receive(received, rtsj::RelativeTime::milliseconds(200)));
-  const comm::Frame golden = make_data({"C", "out", m});
-  EXPECT_EQ(received.type, golden.type);
-  EXPECT_EQ(received.payload, golden.payload);
 }
 
 // ---- TcpChannel scatter-gather ---------------------------------------------
