@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <utility>
 
 #include "runtime/content_registry.hpp"
 #include "soleil/plan.hpp"
@@ -430,16 +431,14 @@ void check_delta_rules(const PlanDelta& delta, const AssemblyPlan& running,
   }
 }
 
-ReloadPlan plan_reload(const AssemblyPlan& running,
-                       const model::Architecture& target_arch) {
+ReloadPlan stage_reload(const AssemblyPlan& running,
+                        const model::Architecture& target_arch,
+                        AssemblyPlan target, validate::Report report) {
   ReloadPlan rp;
-  // 1. The target architecture passes the full rule engine — RTA, pattern,
-  //    area, and mode rules run against the *target* plan.
-  rp.report = validate::validate(target_arch);
+  rp.report = std::move(report);
 
-  // 2. Snapshot + migration-constrained placement.
-  rp.target = soleil::snapshot_assembly(target_arch,
-                                        running.partition_count());
+  // 2. Migration-constrained placement of the snapshot.
+  rp.target = std::move(target);
   place_target(rp.target, running);
   normalize_placements(rp.target, target_arch, running_area_names(running));
 
@@ -449,6 +448,17 @@ ReloadPlan plan_reload(const AssemblyPlan& running,
   // 4. The transition rules (shared with the distributed per-node path).
   check_delta_rules(rp.delta, running, rp.target, rp.report);
   return rp;
+}
+
+ReloadPlan plan_reload(const AssemblyPlan& running,
+                       const model::Architecture& target_arch) {
+  // 1. The target architecture passes the full rule engine — RTA, pattern,
+  //    area, and mode rules run against the *target* plan.
+  validate::Report report = validate::validate(target_arch);
+  AssemblyPlan target =
+      soleil::snapshot_assembly(target_arch, running.partition_count());
+  return stage_reload(running, target_arch, std::move(target),
+                      std::move(report));
 }
 
 }  // namespace rtcf::reconfig

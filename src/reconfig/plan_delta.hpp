@@ -147,4 +147,14 @@ struct ReloadPlan {
 ReloadPlan plan_reload(const model::AssemblyPlan& running,
                        const model::Architecture& target_arch);
 
+/// plan_reload() minus its first step, for a caller that has already
+/// validated `target_arch` and snapshotted it (soleil::snapshot_assembly
+/// with the running partition count): places `target`, diffs it against
+/// `running`, and appends the DELTA-* rules to `report`, the diagnostics
+/// the target drew so far. Admission control composes, validates and
+/// snapshots the composed assembly once and hands both over here.
+ReloadPlan stage_reload(const model::AssemblyPlan& running,
+                        const model::Architecture& target_arch,
+                        model::AssemblyPlan target, validate::Report report);
+
 }  // namespace rtcf::reconfig

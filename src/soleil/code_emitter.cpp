@@ -5,6 +5,7 @@
 
 #include "adl/loader.hpp"
 #include "validate/pattern_catalog.hpp"
+#include "validate/validator.hpp"
 
 namespace rtcf::soleil {
 
@@ -68,8 +69,10 @@ std::string content_class_of(const Component& c) {
 
 /// Client-side interceptor chain for one binding, SOLEIL flavour.
 void emit_binding_chain(std::ostringstream& os, const Architecture& arch,
+                        const validate::ExecutionDomains& exec,
                         const Binding& b, int index) {
-  const std::string pattern = validate::resolve_binding_pattern(arch, b);
+  const std::string pattern =
+      validate::resolve_binding_pattern(arch, exec, b);
   os << "    // binding " << index << ": " << b.client.component << "."
      << b.client.interface << " -> " << b.server.component << "."
      << b.server.interface << " [" << model::to_string(b.desc.protocol);
@@ -103,6 +106,7 @@ void emit_binding_chain(std::ostringstream& os, const Architecture& arch,
 }
 
 GeneratedFile emit_soleil_membrane(const Architecture& arch,
+                                   const validate::ExecutionDomains& exec,
                                    const Component& c) {
   std::ostringstream os;
   os << header_comment("Membrane of component '" + c.name() + "'",
@@ -138,7 +142,7 @@ GeneratedFile emit_soleil_membrane(const Architecture& arch,
   int index = 0;
   for (const Binding& b : arch.bindings()) {
     if (b.client.component == c.name()) {
-      emit_binding_chain(os, arch, b, index);
+      emit_binding_chain(os, arch, exec, b, index);
     }
     ++index;
   }
@@ -266,6 +270,7 @@ GeneratedFile emit_bootstrap(const Architecture& arch, Mode mode) {
 }
 
 GeneratedFile emit_merged_class(const Architecture& arch,
+                                const validate::ExecutionDomains& exec,
                                 const Component& c) {
   std::ostringstream os;
   os << header_comment(
@@ -299,7 +304,8 @@ GeneratedFile emit_merged_class(const Architecture& arch,
   int index = 0;
   for (const Binding& b : arch.bindings()) {
     if (b.client.component == c.name()) {
-      const std::string pattern = validate::resolve_binding_pattern(arch, b);
+      const std::string pattern =
+          validate::resolve_binding_pattern(arch, exec, b);
       os << "  // out endpoint " << index << ": " << b.client.interface
          << " -> " << b.server.component << " (pattern: " << pattern
          << ")\n";
@@ -315,7 +321,8 @@ GeneratedFile emit_merged_class(const Architecture& arch,
   return GeneratedFile{"gen/" + c.name() + "Merged.hpp", os.str()};
 }
 
-GeneratedFile emit_ultra(const Architecture& arch) {
+GeneratedFile emit_ultra(const Architecture& arch,
+                         const validate::ExecutionDomains& exec) {
   std::ostringstream os;
   os << header_comment("Static application (whole system in one class)",
                        Mode::UltraMerge);
@@ -342,7 +349,8 @@ GeneratedFile emit_ultra(const Architecture& arch) {
   }
   int index = 0;
   for (const Binding& b : arch.bindings()) {
-    const std::string pattern = validate::resolve_binding_pattern(arch, b);
+    const std::string pattern =
+        validate::resolve_binding_pattern(arch, exec, b);
     if (b.desc.protocol == Protocol::Asynchronous) {
       os << "  rtcf::comm::MessageBuffer* buffer" << index << "_;  // "
          << b.client.component << " -> " << b.server.component
@@ -364,13 +372,14 @@ GeneratedFile emit_ultra(const Architecture& arch) {
 }  // namespace
 
 GeneratedCode emit_infrastructure(const Architecture& arch, Mode mode) {
+  const validate::ExecutionDomains exec(arch);
   GeneratedCode out;
   out.mode = mode;
   switch (mode) {
     case Mode::Soleil:
       for (const auto& owned : arch.components()) {
         if (owned->is_functional()) {
-          out.files.push_back(emit_soleil_membrane(arch, *owned));
+          out.files.push_back(emit_soleil_membrane(arch, exec, *owned));
         } else {
           out.files.push_back(emit_soleil_nf_runtime(*owned));
         }
@@ -380,13 +389,13 @@ GeneratedCode emit_infrastructure(const Architecture& arch, Mode mode) {
     case Mode::MergeAll:
       for (const auto& owned : arch.components()) {
         if (owned->is_functional()) {
-          out.files.push_back(emit_merged_class(arch, *owned));
+          out.files.push_back(emit_merged_class(arch, exec, *owned));
         }
       }
       out.files.push_back(emit_bootstrap(arch, mode));
       break;
     case Mode::UltraMerge:
-      out.files.push_back(emit_ultra(arch));
+      out.files.push_back(emit_ultra(arch, exec));
       break;
   }
   return out;

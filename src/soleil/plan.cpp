@@ -1,6 +1,9 @@
 #include "soleil/plan.hpp"
 
 #include <algorithm>
+#include <string_view>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "util/assert.hpp"
 #include "validate/area_relation.hpp"
@@ -18,7 +21,6 @@ using model::Binding;
 using model::BindingSpec;
 using model::Component;
 using model::ComponentSpec;
-using model::DomainType;
 using model::MemoryAreaComponent;
 using model::PassiveComponent;
 using model::Protocol;
@@ -86,11 +88,51 @@ const MemoryAreaComponent* common_scope_ancestor(
 
 namespace {
 
-bool executes_on_nhrt(const Architecture& arch, const Component& c) {
-  for (const auto* domain : validate::executing_domains(arch, c)) {
-    if (domain->type() == DomainType::NoHeapRealtime) return true;
+/// The functional components each tenant owns, in declaration order —
+/// Architecture::tenant_of() answered for every component in one pass: a
+/// direct member belongs to the first tenant listing it; any other
+/// component to the first tenant, then first member, whose
+/// MemoryArea/ThreadDomain member encloses it.
+std::vector<std::vector<std::string>> components_by_owner(
+    const Architecture& arch) {
+  const auto& tenants = arch.tenants();
+  std::unordered_map<std::string_view, const Component*> by_name;
+  for (const auto& owned : arch.components()) {
+    by_name.emplace(owned->name(), owned.get());
   }
-  return false;
+  // emplace keeps the first owner recorded: direct members go in first,
+  // then each composite member claims what it encloses, in order.
+  std::unordered_map<const Component*, std::size_t> owner;
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    for (const std::string& member : tenants[t].members) {
+      const auto it = by_name.find(member);
+      if (it != by_name.end() && it->second->is_functional()) {
+        owner.emplace(it->second, t);
+      }
+    }
+  }
+  for (std::size_t t = 0; t < tenants.size(); ++t) {
+    for (const std::string& member : tenants[t].members) {
+      const auto it = by_name.find(member);
+      if (it == by_name.end() || it->second->is_functional()) continue;
+      std::vector<const Component*> stack(it->second->subs().begin(),
+                                          it->second->subs().end());
+      std::unordered_set<const Component*> seen;
+      while (!stack.empty()) {
+        const Component* c = stack.back();
+        stack.pop_back();
+        if (!seen.insert(c).second) continue;
+        if (c->is_functional()) owner.emplace(c, t);
+        stack.insert(stack.end(), c->subs().begin(), c->subs().end());
+      }
+    }
+  }
+  std::vector<std::vector<std::string>> owned_by(tenants.size());
+  for (const auto& owned : arch.components()) {
+    const auto it = owner.find(owned.get());
+    if (it != owner.end()) owned_by[it->second].push_back(owned->name());
+  }
+  return owned_by;
 }
 
 /// Iterative union-find root lookup with path halving.
@@ -222,6 +264,7 @@ void assign_partitions(AssemblyPlan& plan, std::size_t partitions) {
 
 AssemblyPlan snapshot_assembly(const Architecture& arch,
                                std::size_t partitions) {
+  const validate::ExecutionDomains exec(arch);
   AssemblyPlan plan;
   AssemblyPlanBuilder builder{plan};
 
@@ -254,7 +297,7 @@ AssemblyPlan snapshot_assembly(const Architecture& arch,
       spec.memory_area = area->name();
       spec.area_type = area->type();
     }
-    spec.executes_on_nhrt = executes_on_nhrt(arch, *owned);
+    spec.executes_on_nhrt = exec.on_nhrt(*owned);
     builder.components().push_back(std::move(spec));
   }
 
@@ -276,7 +319,7 @@ AssemblyPlan snapshot_assembly(const Architecture& arch,
     const MemoryAreaComponent* server_area = arch.memory_area_of(*server);
     const AreaRelation relation =
         validate::relate_areas(arch, client_area, server_area);
-    const bool client_no_heap = executes_on_nhrt(arch, *client);
+    const bool client_no_heap = exec.on_nhrt(*client);
     const bool server_in_heap =
         server_area == nullptr || server_area->type() == AreaType::Heap;
 
@@ -331,7 +374,7 @@ AssemblyPlan snapshot_assembly(const Architecture& arch,
                                   ? spec.staging_area
                                   : area_placement_name(server_area);
       const bool nhrt_involved =
-          client_no_heap || executes_on_nhrt(arch, *server);
+          client_no_heap || exec.on_nhrt(*server);
       if (nhrt_involved && placement_is_heap(arch, candidate)) {
         candidate = model::kAreaImmortal;
       }
@@ -351,7 +394,9 @@ AssemblyPlan snapshot_assembly(const Architecture& arch,
   // so downstream consumers never re-walk the component DAG. Unknown
   // member names are kept out of the expansion — the validator's
   // TENANT-MEMBER-UNKNOWN rule reports them against the declaration.
-  for (const model::TenantDecl& decl : arch.tenants()) {
+  const auto owned_by = components_by_owner(arch);
+  for (std::size_t t = 0; t < arch.tenants().size(); ++t) {
+    const model::TenantDecl& decl = arch.tenants()[t];
     model::TenantSpec tenant;
     tenant.name = decl.name;
     tenant.budget = decl.budget;
@@ -379,13 +424,8 @@ AssemblyPlan snapshot_assembly(const Architecture& arch,
           break;
       }
     }
-    for (const auto& owned : arch.components()) {
-      if (!owned->is_functional()) continue;
-      if (decl.has_member(owned->name())) continue;
-      const model::TenantDecl* owner = arch.tenant_of(owned->name());
-      if (owner != nullptr && owner->name == decl.name) {
-        tenant.components.push_back(owned->name());
-      }
+    for (const std::string& name : owned_by[t]) {
+      if (!decl.has_member(name)) tenant.components.push_back(name);
     }
     // Composites that enclose a member are part of the slice even when not
     // listed (the area/domain-scoping rules reason over the full set).

@@ -1,6 +1,7 @@
 #include "tenant/admission.hpp"
 
 #include <sstream>
+#include <utility>
 
 #include "sim/rta.hpp"
 #include "soleil/plan.hpp"
@@ -69,14 +70,16 @@ AdmissionDecision AdmissionController::admit(
 
   // 2. Full rule engine on the composition (RTSJ rules, pattern legality,
   //    per-mode RTA via MODE-SCHEDULABLE) plus the modeless composed-RTA
-  //    gate, plus the TENANT-* isolation rules over the snapshot.
+  //    gate, plus the TENANT-* isolation rules over the snapshot. The
+  //    composition is validated and snapshotted here, once per decision;
+  //    step 4 reuses both.
+  AssemblyPlan composed;
   if (compose_report.ok()) {
     append_report(decision.report, validate::validate(merged));
     if (merged.modes().empty()) {
       check_composed_rta(merged, decision.report);
     }
-    const AssemblyPlan composed = soleil::snapshot_assembly(
-        merged, running.partition_count());
+    composed = soleil::snapshot_assembly(merged, running.partition_count());
     append_report(decision.report, validate::validate_tenancy(composed));
   }
 
@@ -97,12 +100,16 @@ AdmissionDecision AdmissionController::admit(
     }
   }
 
-  // 4. Synthesize the transition running -> composed through the existing
-  //    reload pipeline (migration-constrained placement + DELTA-* rules),
-  //    only when the composition itself is sound.
+  // 4. Synthesize the transition running -> composed through the reload
+  //    pipeline's placement, diff and DELTA-* steps (migration-constrained
+  //    placement of the snapshot from step 2), only when the composition
+  //    itself is sound. The reload's report carries every diagnostic of
+  //    the decision, each once.
   if (decision.report.ok()) {
-    decision.reload = reconfig::plan_reload(running, merged);
-    append_report(decision.report, decision.reload.report);
+    decision.reload = reconfig::stage_reload(running, merged,
+                                             std::move(composed),
+                                             std::move(decision.report));
+    decision.report = decision.reload.report;
   }
 
   decision.accepted = decision.report.ok();

@@ -8,12 +8,14 @@
 // candidate together, before anything changes.
 //
 // admit() is pure: it composes, validates, analyses, and synthesizes the
-// transition (a reconfig::ReloadPlan riding the existing plan_reload
-// machinery), but applies nothing. An accepted decision carries the
-// PlanDelta the caller hands to ModeManager::request_reload() or the
-// two-phase distributed coordinator; a rejected decision carries
-// machine-readable reasons (stable rule id, subject, owning tenant, ADL
-// line) and leaves the running plan epoch untouched by construction.
+// transition (a reconfig::ReloadPlan from reconfig::stage_reload, fed the
+// composed snapshot admission already built — the composition is
+// validated and snapshotted once per decision), but applies nothing. An
+// accepted decision carries the PlanDelta the caller hands to
+// ModeManager::request_reload() or the two-phase distributed coordinator;
+// a rejected decision carries machine-readable reasons (stable rule id,
+// subject, owning tenant, ADL line) and leaves the running plan epoch
+// untouched by construction.
 //
 // Rule identifiers added by admission itself:
 //   TENANT-ADMIT-RTA   the composed task set (no modes declared) fails

@@ -63,6 +63,7 @@ bool pattern_applicable(const std::string& pattern, AreaRelation relation,
 }
 
 std::string resolve_binding_pattern(const model::Architecture& arch,
+                                    const ExecutionDomains& exec,
                                     const model::Binding& binding) {
   if (!binding.desc.pattern.empty()) return binding.desc.pattern;
   const auto* client = arch.find(binding.client.component);
@@ -74,11 +75,7 @@ std::string resolve_binding_pattern(const model::Architecture& arch,
   PatternQuery query;
   query.relation = relate_areas(arch, client_area, server_area);
   query.protocol = binding.desc.protocol;
-  for (const auto* domain : executing_domains(arch, *client)) {
-    if (domain->type() == model::DomainType::NoHeapRealtime) {
-      query.client_no_heap = true;
-    }
-  }
+  query.client_no_heap = exec.on_nhrt(*client);
   query.server_in_heap = server_area == nullptr ||
                          server_area->type() == model::AreaType::Heap;
   if (client_area != nullptr && server_area != nullptr &&

@@ -51,11 +51,16 @@ struct PatternQuery {
 /// heap state), in which case the validator reports an error.
 std::string suggest_pattern(const PatternQuery& query);
 
+class ExecutionDomains;
+
 /// Resolves the effective pattern of a binding in `arch`: the explicitly
 /// declared pattern when present, otherwise the framework suggestion.
 /// Returns the empty string when no legal pattern exists. Shared by the
 /// validator, the planner, and the code emitter so all three agree.
+/// `exec` is the architecture's execution domains (validator.hpp), built
+/// once by the caller and shared across every binding it resolves.
 std::string resolve_binding_pattern(const model::Architecture& arch,
+                                    const ExecutionDomains& exec,
                                     const model::Binding& binding);
 
 }  // namespace rtcf::validate

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <utility>
 
 #include "rtsj/threads/params.hpp"
 #include "sim/rta.hpp"
@@ -282,7 +283,8 @@ ResolvedBinding resolve(const Architecture& arch, const Binding& b,
   return r;
 }
 
-void check_bindings(const Architecture& arch, Report& report) {
+void check_bindings(const Architecture& arch, const ExecutionDomains& exec,
+                    Report& report) {
   for (const Binding& b : arch.bindings()) {
     const std::string label = binding_label(b);
     const ResolvedBinding r = resolve(arch, b, report);
@@ -299,10 +301,7 @@ void check_bindings(const Architecture& arch, Report& report) {
         relate_areas(arch, client_area, server_area);
 
     // Does any NHRT execute the client side?
-    bool client_no_heap = false;
-    for (const auto* domain : executing_domains(arch, *r.client)) {
-      if (domain->type() == DomainType::NoHeapRealtime) client_no_heap = true;
-    }
+    const bool client_no_heap = exec.on_nhrt(*r.client);
     const bool server_in_heap =
         server_area == nullptr || server_area->type() == AreaType::Heap;
 
@@ -427,7 +426,8 @@ void check_mode_schedulable(const Architecture& arch,
   }
 }
 
-void check_modes(const Architecture& arch, Report& report) {
+void check_modes(const Architecture& arch, const ExecutionDomains& exec,
+                 Report& report) {
   const auto& modes = arch.modes();
   if (modes.empty()) return;
 
@@ -511,7 +511,7 @@ void check_modes(const Architecture& arch, Report& report) {
       hypothetical.client = {rebind.client, rebind.port};
       hypothetical.server = {rebind.server, provided->name};
       hypothetical.desc.protocol = protocol;
-      if (resolve_binding_pattern(arch, hypothetical).empty()) {
+      if (resolve_binding_pattern(arch, exec, hypothetical).empty()) {
         report.add(Severity::Error, "MODE-REBIND-LEGAL", subject,
                    "no RTSJ-legal pattern exists for the rebind "
                    "(synchronous NHRT client into heap state?)");
@@ -541,46 +541,88 @@ void check_modes(const Architecture& arch, Report& report) {
   for (const auto& mode : modes) check_mode_schedulable(arch, mode, report);
 }
 
+/// Inserts every ThreadDomain enclosing `c` (direct or transitive super).
+void insert_enclosing_domains(const Component& c,
+                              std::set<const ThreadDomain*>& out) {
+  for (const Component* super : c.supers()) {
+    if (const auto* domain = dynamic_cast<const ThreadDomain*>(super)) {
+      out.insert(domain);
+    }
+    insert_enclosing_domains(*super, out);
+  }
+}
+
 }  // namespace
 
-std::vector<const ThreadDomain*> executing_domains(
-    const Architecture& arch, const Component& component) {
+ExecutionDomains::ExecutionDomains(const Architecture& arch) {
   // Fixpoint: active components execute in their own domain; passive
   // components execute in the domains of their synchronous callers.
-  std::map<const Component*, std::set<const ThreadDomain*>> domains;
+  std::unordered_map<const Component*, std::set<const ThreadDomain*>> sets;
+  std::unordered_map<std::string_view, const Component*> by_name;
   for (const auto& owned : arch.components()) {
+    by_name.emplace(owned->name(), owned.get());
     if (owned->kind() == ComponentKind::Active) {
-      for (auto* d : arch.thread_domains_of(*owned)) {
-        domains[owned.get()].insert(d);
-      }
+      insert_enclosing_domains(*owned, sets[owned.get()]);
     }
+  }
+  const auto find = [&](const std::string& name) -> const Component* {
+    const auto it = by_name.find(name);
+    return it == by_name.end() ? nullptr : it->second;
+  };
+  // The edges the fixpoint propagates along, endpoints resolved once:
+  // synchronous bindings into passive servers.
+  std::vector<std::pair<const Component*, const Component*>> edges;
+  for (const Binding& b : arch.bindings()) {
+    if (b.desc.protocol != Protocol::Synchronous) continue;
+    const Component* client = find(b.client.component);
+    const Component* server = find(b.server.component);
+    if (client == nullptr || server == nullptr || client == server) continue;
+    if (server->kind() != ComponentKind::Passive) continue;
+    edges.emplace_back(client, server);
   }
   bool changed = true;
   while (changed) {
     changed = false;
-    for (const Binding& b : arch.bindings()) {
-      if (b.desc.protocol != Protocol::Synchronous) continue;
-      const Component* client = arch.find(b.client.component);
-      const Component* server = arch.find(b.server.component);
-      if (client == nullptr || server == nullptr) continue;
-      if (server->kind() != ComponentKind::Passive) continue;
-      for (const auto* d : domains[client]) {
-        if (domains[server].insert(d).second) changed = true;
+    for (const auto& [client, server] : edges) {
+      const auto from = sets.find(client);
+      if (from == sets.end()) continue;
+      // References into an unordered_map survive the insertion below.
+      const std::set<const ThreadDomain*>& caller = from->second;
+      std::set<const ThreadDomain*>& callee = sets[server];
+      for (const auto* d : caller) {
+        if (callee.insert(d).second) changed = true;
       }
     }
   }
-  const auto& set = domains[&component];
-  return {set.begin(), set.end()};
+  for (const auto& [component, set] : sets) {
+    domains_.emplace(component,
+                     std::vector<const ThreadDomain*>(set.begin(), set.end()));
+  }
+}
+
+const std::vector<const ThreadDomain*>& ExecutionDomains::of(
+    const Component& component) const {
+  static const std::vector<const ThreadDomain*> kNone;
+  const auto it = domains_.find(&component);
+  return it == domains_.end() ? kNone : it->second;
+}
+
+bool ExecutionDomains::on_nhrt(const Component& component) const {
+  for (const auto* domain : of(component)) {
+    if (domain->type() == DomainType::NoHeapRealtime) return true;
+  }
+  return false;
 }
 
 Report validate(const Architecture& arch) {
+  const ExecutionDomains exec(arch);
   Report report;
   check_active_components(arch, report);
   check_thread_domains(arch, report);
   check_non_functional_interfaces(arch, report);
   check_memory_areas(arch, report);
-  check_bindings(arch, report);
-  check_modes(arch, report);
+  check_bindings(arch, exec, report);
+  check_modes(arch, exec, report);
   return report;
 }
 

@@ -40,6 +40,9 @@
 //                          response-time analysis independently
 #pragma once
 
+#include <unordered_map>
+#include <vector>
+
 #include "model/metamodel.hpp"
 #include "validate/report.hpp"
 
@@ -48,11 +51,29 @@ namespace rtcf::validate {
 /// Runs every rule against `arch` and returns the full report.
 Report validate(const model::Architecture& arch);
 
-/// The set of ThreadDomains whose threads can execute `component`: an
-/// active component executes in its own domain; a passive component
-/// executes in the domains of every client that calls it synchronously
-/// (computed as a fixpoint across bindings). Exposed for the planner.
-std::vector<const model::ThreadDomain*> executing_domains(
-    const model::Architecture& arch, const model::Component& component);
+/// Which ThreadDomains' threads can execute each component of one
+/// architecture: an active component executes in its own domain; a passive
+/// component executes in the domains of every client that calls it
+/// synchronously (a fixpoint across bindings). The fixpoint runs once, in
+/// the constructor, over every component and binding; the planner, the
+/// validator and the code emitter build one per architecture and query it
+/// per binding. The value borrows `arch` and is only valid while `arch` is
+/// alive and unmodified.
+class ExecutionDomains {
+ public:
+  explicit ExecutionDomains(const model::Architecture& arch);
+
+  /// The domains that can execute `component`, in pointer order (empty
+  /// for a component no thread reaches, or one not in the architecture).
+  const std::vector<const model::ThreadDomain*>& of(
+      const model::Component& component) const;
+  /// True when any NoHeapRealtime domain executes `component`.
+  bool on_nhrt(const model::Component& component) const;
+
+ private:
+  std::unordered_map<const model::Component*,
+                     std::vector<const model::ThreadDomain*>>
+      domains_;
+};
 
 }  // namespace rtcf::validate

@@ -115,7 +115,7 @@ TEST_P(EdgeTest, SharedPassiveServiceCalledFromTwoDomains) {
 
   ASSERT_TRUE(validate::validate(arch).ok());
   // Sharing: the passive service executes on both callers' domains.
-  EXPECT_EQ(validate::executing_domains(arch, shared).size(), 2u);
+  EXPECT_EQ(validate::ExecutionDomains(arch).of(shared).size(), 2u);
 
   auto app = soleil::build_application(arch, GetParam());
   app->start();

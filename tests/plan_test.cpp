@@ -1,8 +1,15 @@
 // The Soleil planner: pattern resolution and buffer/staging placement.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "adversity/arch_gen.hpp"
 #include "scenario/production_scenario.hpp"
 #include "soleil/plan.hpp"
+#include "validate/area_relation.hpp"
+#include "validate/pattern_catalog.hpp"
 
 namespace rtcf::soleil {
 namespace {
@@ -133,6 +140,304 @@ TEST(PlanModeNamesTest, ToStringCoversAllModes) {
   EXPECT_STREQ(to_string(Mode::Soleil), "SOLEIL");
   EXPECT_STREQ(to_string(Mode::MergeAll), "MERGE_ALL");
   EXPECT_STREQ(to_string(Mode::UltraMerge), "ULTRA_MERGE");
+}
+
+// ---- snapshot identity ----------------------------------------------------
+//
+// reference_snapshot() is the planner's snapshot as it was written before
+// the execution domains were computed once per architecture and tenant
+// ownership once per snapshot: the per-query fixpoint for every NHRT
+// question and Architecture::tenant_of() for every (tenant, component)
+// pair. It freezes that output; snapshot_assembly must stay equal to it.
+
+bool reference_on_nhrt(const model::Architecture& arch,
+                       const model::Component& component) {
+  using namespace model;
+  std::map<const Component*, std::set<const ThreadDomain*>> domains;
+  for (const auto& owned : arch.components()) {
+    if (owned->kind() == ComponentKind::Active) {
+      for (auto* d : arch.thread_domains_of(*owned)) {
+        domains[owned.get()].insert(d);
+      }
+    }
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const Binding& b : arch.bindings()) {
+      if (b.desc.protocol != Protocol::Synchronous) continue;
+      const Component* client = arch.find(b.client.component);
+      const Component* server = arch.find(b.server.component);
+      if (client == nullptr || server == nullptr) continue;
+      if (server->kind() != ComponentKind::Passive) continue;
+      for (const auto* d : domains[client]) {
+        if (domains[server].insert(d).second) changed = true;
+      }
+    }
+  }
+  for (const auto* d : domains[&component]) {
+    if (d->type() == DomainType::NoHeapRealtime) return true;
+  }
+  return false;
+}
+
+std::string reference_placement(const model::MemoryAreaComponent* area) {
+  return area == nullptr ? model::kAreaHeap : area->name();
+}
+
+model::AssemblyPlan reference_snapshot(const model::Architecture& arch,
+                                       std::size_t partitions) {
+  using namespace model;
+  AssemblyPlan plan;
+  AssemblyPlanBuilder builder{plan};
+  for (const auto& owned : arch.components()) {
+    if (!owned->is_functional()) continue;
+    ComponentSpec spec;
+    spec.name = owned->name();
+    spec.kind = owned->kind();
+    spec.swappable = owned->swappable();
+    spec.interfaces = owned->interfaces();
+    if (const auto* active =
+            dynamic_cast<const ActiveComponent*>(owned.get())) {
+      spec.activation = active->activation();
+      spec.period = active->period();
+      spec.cost = active->cost();
+      spec.content_class = active->content_class();
+      spec.criticality = active->criticality().value_or(Criticality::High);
+      spec.contract = active->timing_contract();
+      if (const auto* domain = arch.thread_domain_of(*owned)) {
+        spec.thread_domain = domain->name();
+        spec.domain_type = domain->type();
+        spec.domain_priority = domain->priority();
+      }
+    } else {
+      spec.content_class =
+          static_cast<const PassiveComponent*>(owned.get())->content_class();
+    }
+    if (const auto* area = arch.memory_area_of(*owned)) {
+      spec.memory_area = area->name();
+      spec.area_type = area->type();
+    }
+    spec.executes_on_nhrt = reference_on_nhrt(arch, *owned);
+    builder.components().push_back(std::move(spec));
+  }
+  for (const Binding& binding : arch.bindings()) {
+    const Component* client = arch.find(binding.client.component);
+    const Component* server = arch.find(binding.server.component);
+    BindingSpec spec;
+    spec.client = binding.client;
+    spec.server = binding.server;
+    spec.protocol = binding.desc.protocol;
+    spec.buffer_size = binding.desc.buffer_size;
+    const auto* client_area = arch.memory_area_of(*client);
+    const auto* server_area = arch.memory_area_of(*server);
+    const bool client_no_heap = reference_on_nhrt(arch, *client);
+    spec.pattern = binding.desc.pattern;
+    if (spec.pattern.empty()) {
+      validate::PatternQuery query;
+      query.relation = validate::relate_areas(arch, client_area, server_area);
+      query.protocol = spec.protocol;
+      query.client_no_heap = client_no_heap;
+      query.server_in_heap =
+          server_area == nullptr || server_area->type() == AreaType::Heap;
+      query.common_scope_ancestor =
+          common_scope_ancestor(arch, client_area, server_area) != nullptr;
+      spec.pattern = validate::suggest_pattern(query);
+    }
+    switch (membrane::pattern_op_from_name(spec.pattern)) {
+      case PatternOp::Direct:
+      case PatternOp::ScopeEnter:
+        spec.staging_area = kAreaNone;
+        break;
+      case PatternOp::DeepCopy:
+      case PatternOp::WedgeThread:
+        spec.staging_area = reference_placement(server_area);
+        break;
+      case PatternOp::ImmortalForward:
+        spec.staging_area = kAreaImmortal;
+        break;
+      case PatternOp::SharedScope: {
+        const auto* shared =
+            common_scope_ancestor(arch, client_area, server_area);
+        spec.staging_area = shared != nullptr ? shared->name() : kAreaImmortal;
+        break;
+      }
+      case PatternOp::Handoff:
+        spec.staging_area = reference_placement(client_area);
+        break;
+    }
+    if (spec.protocol == Protocol::Asynchronous) {
+      std::string candidate = spec.staging_area != kAreaNone
+                                  ? spec.staging_area
+                                  : reference_placement(server_area);
+      bool heap = candidate == kAreaHeap;
+      if (const auto* area = arch.find_as<MemoryAreaComponent>(candidate)) {
+        heap = area->type() == AreaType::Heap;
+      }
+      if ((client_no_heap || reference_on_nhrt(arch, *server)) && heap) {
+        candidate = kAreaImmortal;
+      }
+      spec.buffer_area = std::move(candidate);
+    }
+    builder.bindings().push_back(std::move(spec));
+  }
+  for (const auto* area : arch.all_of<MemoryAreaComponent>()) {
+    builder.areas().push_back(
+        AreaSpec{area->name(), area->type(), area->size_bytes()});
+  }
+  builder.modes() = arch.modes();
+  for (const TenantDecl& decl : arch.tenants()) {
+    TenantSpec tenant;
+    tenant.name = decl.name;
+    tenant.budget = decl.budget;
+    tenant.criticality_floor = decl.criticality_floor;
+    tenant.exports = decl.exports;
+    tenant.imports = decl.imports;
+    tenant.adl_line = decl.adl_line;
+    for (const std::string& member : decl.members) {
+      const Component* c = arch.find(member);
+      if (c != nullptr && c->kind() == ComponentKind::MemoryArea) {
+        tenant.areas.push_back(member);
+      } else if (c != nullptr && c->kind() == ComponentKind::ThreadDomain) {
+        tenant.domains.push_back(member);
+      } else {
+        tenant.components.push_back(member);
+      }
+    }
+    for (const auto& owned : arch.components()) {
+      if (!owned->is_functional() || decl.has_member(owned->name())) continue;
+      const TenantDecl* owner = arch.tenant_of(owned->name());
+      if (owner != nullptr && owner->name == decl.name) {
+        tenant.components.push_back(owned->name());
+      }
+    }
+    for (const std::string& comp : tenant.components) {
+      const Component* c = arch.find(comp);
+      if (c == nullptr) continue;
+      if (const auto* area = arch.memory_area_of(*c)) {
+        if (!tenant.owns_area(area->name())) {
+          tenant.areas.push_back(area->name());
+        }
+      }
+      if (const auto* domain = arch.thread_domain_of(*c)) {
+        if (std::find(tenant.domains.begin(), tenant.domains.end(),
+                      domain->name()) == tenant.domains.end()) {
+          tenant.domains.push_back(domain->name());
+        }
+      }
+    }
+    std::sort(tenant.components.begin(), tenant.components.end());
+    std::sort(tenant.areas.begin(), tenant.areas.end());
+    std::sort(tenant.domains.begin(), tenant.domains.end());
+    builder.tenants().push_back(std::move(tenant));
+  }
+  assign_partitions(plan, partitions);
+  return plan;
+}
+
+/// A chain of `count` tenant slices. Slice i: an active Task in domain
+/// t<i>.D (NHRT in immortal memory for even i, RT on the heap for odd i),
+/// a passive Store it calls synchronously, both in area t<i>.Area, and an
+/// asynchronous call into the previous slice's Task. Tenant i lists its
+/// Task (i % 3 == 0), its Area (i % 3 == 1) or its Domain (i % 3 == 2), so
+/// most members join only through an enclosing composite; the last tenant
+/// also claims slice 1's Store directly and names an unknown member.
+model::Architecture tenant_chain(std::size_t count) {
+  using namespace model;
+  Architecture arch;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::string p = "t" + std::to_string(i);
+    const bool nhrt = i % 2 == 0;
+    auto& task = arch.add_active(p + ".Task", ActivationKind::Periodic,
+                                 rtsj::RelativeTime::milliseconds(20));
+    task.set_cost(rtsj::RelativeTime::microseconds(100 + 10 * i));
+    task.set_content_class("ChainTask");
+    task.add_interface({"out", InterfaceRole::Client, "IChain"});
+    task.add_interface({"in", InterfaceRole::Server, "IChain"});
+    task.add_interface({"store", InterfaceRole::Client, "IStore"});
+    auto& store = arch.add_passive(p + ".Store");
+    store.set_content_class("ChainStore");
+    store.add_interface({"in", InterfaceRole::Server, "IStore"});
+    auto& domain = arch.add_thread_domain(
+        p + ".D", nhrt ? DomainType::NoHeapRealtime : DomainType::Realtime,
+        static_cast<int>(11 + i % 28));
+    auto& area = arch.add_memory_area(
+        p + ".Area", nhrt ? AreaType::Immortal : AreaType::Heap, 0);
+    arch.add_child(area, domain);
+    arch.add_child(area, store);
+    arch.add_child(domain, task);
+    arch.add_binding({{p + ".Task", "store"}, {p + ".Store", "in"}, {}});
+    TenantDecl tenant;
+    tenant.name = p;
+    tenant.members.push_back(i % 3 == 0   ? p + ".Task"
+                             : i % 3 == 1 ? p + ".Area"
+                                          : p + ".D");
+    tenant.exports.push_back({p + ".feed", p + ".Task", "in"});
+    if (i > 0) {
+      const std::string prev = "t" + std::to_string(i - 1);
+      Binding chain;
+      chain.client = {p + ".Task", "out"};
+      chain.server = {prev + ".Task", "in"};
+      chain.desc.protocol = Protocol::Asynchronous;
+      chain.desc.buffer_size = 4;
+      arch.add_binding(chain);
+      tenant.imports.push_back({prev + ".feed", prev});
+    }
+    if (i + 1 == count && count > 1) {
+      tenant.members.push_back("t1.Store");
+      tenant.members.push_back("ghost");
+    }
+    arch.add_tenant(std::move(tenant));
+  }
+  return arch;
+}
+
+TEST(PlanSnapshotIdentityTest, ProductionScenarioMatchesReference) {
+  const auto arch = scenario::make_production_architecture();
+  for (const std::size_t partitions : {1u, 2u}) {
+    EXPECT_TRUE(snapshot_assembly(arch, partitions) ==
+                reference_snapshot(arch, partitions))
+        << partitions << " partition(s)";
+  }
+}
+
+TEST(PlanSnapshotIdentityTest, SixteenTenantChainMatchesReference) {
+  const auto arch = tenant_chain(16);
+  for (const std::size_t partitions : {1u, 4u}) {
+    const auto plan = snapshot_assembly(arch, partitions);
+    EXPECT_TRUE(plan == reference_snapshot(arch, partitions))
+        << partitions << " partition(s)";
+    ASSERT_EQ(plan.tenants().size(), 16u);
+  }
+  const auto plan = snapshot_assembly(arch, 1);
+  // Membership through the enclosing MemoryArea only: Task and Store.
+  EXPECT_EQ(plan.find_tenant("t4")->components,
+            (std::vector<std::string>{"t4.Store", "t4.Task"}));
+  // Through the ThreadDomain only: the Task, not the Store beside it.
+  EXPECT_EQ(plan.find_tenant("t5")->components,
+            (std::vector<std::string>{"t5.Task"}));
+  // A direct listing elsewhere wins over the enclosing area's tenant.
+  EXPECT_FALSE(plan.find_tenant("t1")->owns_component("t1.Store"));
+  EXPECT_TRUE(plan.find_tenant("t15")->owns_component("t1.Store"));
+  // The synchronous Store runs on its caller's NHRT in even slices.
+  EXPECT_TRUE(plan.find("t2.Store")->executes_on_nhrt);
+  EXPECT_FALSE(plan.find("t3.Store")->executes_on_nhrt);
+}
+
+TEST(PlanSnapshotIdentityTest, GeneratedScenariosMatchReference) {
+  // The drill generator's architectures and reload targets: shared
+  // passive servers, scoped placements, tenants owning whole nodes.
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    const auto scenario = adversity::generate_scenario(seed);
+    EXPECT_TRUE(snapshot_assembly(scenario.arch, 2) ==
+                reference_snapshot(scenario.arch, 2))
+        << "seed " << seed;
+    for (const auto& target : scenario.reload_targets) {
+      EXPECT_TRUE(snapshot_assembly(target, 2) ==
+                  reference_snapshot(target, 2))
+          << "seed " << seed << " reload target";
+    }
+  }
 }
 
 }  // namespace

@@ -496,6 +496,84 @@ TEST(AdmissionTest, RejectionReasonsCarryTenantNameAndAdlLine) {
       << reason->message;
 }
 
+/// Resident tenant t0 exporting t0.Task's input, and a candidate tenant
+/// t1 (its area of `candidate_area` type) feeding it asynchronously
+/// through a declared route: a cross-area binding, so the validator
+/// suggests a pattern (info BIND-PATTERN-SUGGEST).
+struct RoutedPair {
+  Architecture resident;
+  Architecture candidate;
+};
+
+RoutedPair make_routed_pair(AreaType candidate_area) {
+  RoutedPair pair;
+  auto& server = add_slice(pair.resident, "t0", 20,
+                           rtsj::RelativeTime::milliseconds(10),
+                           rtsj::RelativeTime::microseconds(500));
+  server.add_interface({"in", InterfaceRole::Server, "IChain"});
+  add_tenant(pair.resident, "t0", {"t0.Task"})
+      .exports.push_back({"t0.feed", "t0.Task", "in"});
+  auto& client = add_slice(pair.candidate, "t1", 15,
+                           rtsj::RelativeTime::milliseconds(10),
+                           rtsj::RelativeTime::microseconds(500), 4096,
+                           candidate_area);
+  client.add_interface({"out", InterfaceRole::Client, "IChain"});
+  model::Binding binding;
+  binding.client = {"t1.Task", "out"};
+  binding.server = {"t0.Task", "in"};
+  binding.desc.protocol = Protocol::Asynchronous;
+  binding.desc.buffer_size = 4;
+  pair.candidate.add_binding(binding);
+  add_tenant(pair.candidate, "t1", {"t1.Task"})
+      .imports.push_back({"t0.feed", "t0"});
+  return pair;
+}
+
+/// Every (severity, rule, subject, message) of `report` appears once.
+void expect_no_duplicate_diagnostics(const validate::Report& report) {
+  const auto& all = report.diagnostics();
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    for (std::size_t j = i + 1; j < all.size(); ++j) {
+      EXPECT_FALSE(all[i].severity == all[j].severity &&
+                   all[i].rule == all[j].rule &&
+                   all[i].subject == all[j].subject &&
+                   all[i].message == all[j].message)
+          << "listed twice: " << all[i].to_string();
+    }
+  }
+}
+
+TEST(AdmissionTest, ReportListsEveryDiagnosticOnce) {
+  // Disjoint scoped areas: the suggestion fires, and the candidate's new
+  // scoped area makes the transition itself fail (DELTA-AREA-UNKNOWN) —
+  // the composition was validated and reached the delta step.
+  {
+    const RoutedPair pair = make_routed_pair(AreaType::Scoped);
+    const AssemblyPlan running = soleil::snapshot_assembly(pair.resident, 1);
+    const AdmissionDecision decision =
+        AdmissionController{}.admit(running, pair.resident, pair.candidate);
+    EXPECT_FALSE(decision.accepted);
+    EXPECT_NE(decision.reason_for("DELTA-AREA-UNKNOWN"), nullptr);
+    const auto suggest = decision.report.by_rule("BIND-PATTERN-SUGGEST");
+    ASSERT_EQ(suggest.size(), 1u) << decision.report.to_string();
+    EXPECT_EQ(suggest[0].subject, "t1.Task.out -> t0.Task.in");
+    expect_no_duplicate_diagnostics(decision.report);
+  }
+  // A heap-area candidate is admitted; its staged reload carries the same
+  // single-listed diagnostics as the decision.
+  {
+    const RoutedPair pair = make_routed_pair(AreaType::Heap);
+    const AssemblyPlan running = soleil::snapshot_assembly(pair.resident, 1);
+    const AdmissionDecision decision =
+        AdmissionController{}.admit(running, pair.resident, pair.candidate);
+    ASSERT_TRUE(decision.accepted) << decision.report.to_string();
+    EXPECT_EQ(decision.report.by_rule("BIND-PATTERN-SUGGEST").size(), 1u);
+    expect_no_duplicate_diagnostics(decision.report);
+    EXPECT_EQ(decision.reload.report.to_string(),
+              decision.report.to_string());
+  }
+}
+
 TEST(AdmissionTest, ComposeMergesSlicesAndReportsConflicts) {
   const Architecture resident = make_resident();
   const Architecture candidate =

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <set>
 
 #include "model/views.hpp"
 #include "scenario/production_scenario.hpp"
@@ -327,13 +329,112 @@ TEST(ValidatorTest, ExecutingDomainsPropagateThroughSyncBindings) {
   const auto arch = scenario::make_production_architecture();
   // Console is passive: it executes on its synchronous caller's domain
   // (the NHRT2 monitoring domain).
-  const auto domains = executing_domains(arch, *arch.find("Console"));
+  const ExecutionDomains exec(arch);
+  const auto& domains = exec.of(*arch.find("Console"));
   ASSERT_EQ(domains.size(), 1u);
   EXPECT_EQ(domains[0]->name(), "NHRT2");
   // AuditLog is active: exactly its own domain.
-  const auto audit = executing_domains(arch, *arch.find("AuditLog"));
+  const auto& audit = exec.of(*arch.find("AuditLog"));
   ASSERT_EQ(audit.size(), 1u);
   EXPECT_EQ(audit[0]->name(), "reg1");
+}
+
+/// The per-query fixpoint ExecutionDomains replaced, kept verbatim as the
+/// reference: the whole fixpoint, rebuilt to answer for one component.
+std::vector<const ThreadDomain*> per_query_domains(const Architecture& arch,
+                                                   const Component& component) {
+  std::map<const Component*, std::set<const ThreadDomain*>> domains;
+  for (const auto& owned : arch.components()) {
+    if (owned->kind() == ComponentKind::Active) {
+      for (auto* d : arch.thread_domains_of(*owned)) {
+        domains[owned.get()].insert(d);
+      }
+    }
+  }
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (const Binding& b : arch.bindings()) {
+      if (b.desc.protocol != Protocol::Synchronous) continue;
+      const Component* client = arch.find(b.client.component);
+      const Component* server = arch.find(b.server.component);
+      if (client == nullptr || server == nullptr) continue;
+      if (server->kind() != ComponentKind::Passive) continue;
+      for (const auto* d : domains[client]) {
+        if (domains[server].insert(d).second) changed = true;
+      }
+    }
+  }
+  const auto& set = domains[&component];
+  return {set.begin(), set.end()};
+}
+
+void expect_matches_per_query(const Architecture& arch) {
+  const ExecutionDomains exec(arch);
+  for (const auto& owned : arch.components()) {
+    EXPECT_EQ(exec.of(*owned), per_query_domains(arch, *owned))
+        << owned->name();
+    bool nhrt = false;
+    for (const auto* d : per_query_domains(arch, *owned)) {
+      nhrt = nhrt || d->type() == DomainType::NoHeapRealtime;
+    }
+    EXPECT_EQ(exec.on_nhrt(*owned), nhrt) << owned->name();
+  }
+}
+
+TEST(ValidatorTest, ExecutionDomainsMatchPerQueryFixpointOnProduction) {
+  expect_matches_per_query(scenario::make_production_architecture());
+}
+
+TEST(ValidatorTest, ExecutionDomainsMatchPerQueryFixpointOnSharedServer) {
+  // A passive server called synchronously by an NHRT client and by a
+  // regular client, behind a passive relay (two fixpoint rounds): it
+  // executes on both domains, and so does nothing else.
+  Architecture arch;
+  auto& nhrt_client = arch.add_active("Fast", ActivationKind::Periodic,
+                                      rtsj::RelativeTime::milliseconds(5));
+  auto& regular_client = arch.add_active(
+      "Slow", ActivationKind::Periodic, rtsj::RelativeTime::milliseconds(50));
+  auto& relay = arch.add_passive("Relay");
+  auto& server = arch.add_passive("Store");
+  auto& idle = arch.add_passive("Idle");
+  for (Component* c : {static_cast<Component*>(&nhrt_client),
+                       static_cast<Component*>(&regular_client),
+                       static_cast<Component*>(&relay)}) {
+    c->add_interface({"out", InterfaceRole::Client, "IStore"});
+  }
+  relay.add_interface({"in", InterfaceRole::Server, "IStore"});
+  server.add_interface({"in", InterfaceRole::Server, "IStore"});
+  idle.add_interface({"in", InterfaceRole::Server, "IStore"});
+  auto& nhrt = arch.add_thread_domain("NHRT", DomainType::NoHeapRealtime, 30);
+  auto& regular = arch.add_thread_domain("Reg", DomainType::Regular, 5);
+  arch.add_child(nhrt, nhrt_client);
+  arch.add_child(regular, regular_client);
+  auto& imm = arch.add_memory_area("Imm", AreaType::Immortal, 4096);
+  for (Component* c : {static_cast<Component*>(&nhrt),
+                       static_cast<Component*>(&regular),
+                       static_cast<Component*>(&relay),
+                       static_cast<Component*>(&server),
+                       static_cast<Component*>(&idle)}) {
+    arch.add_child(imm, *c);
+  }
+  const auto bind = [&](const std::string& client, const std::string& srv) {
+    Binding b;
+    b.client = {client, "out"};
+    b.server = {srv, "in"};
+    arch.add_binding(b);
+  };
+  bind("Relay", "Store");  // declared before its caller's binding
+  bind("Fast", "Relay");
+  bind("Slow", "Store");
+
+  expect_matches_per_query(arch);
+  const ExecutionDomains exec(arch);
+  EXPECT_EQ(exec.of(server).size(), 2u);
+  EXPECT_TRUE(exec.on_nhrt(server));
+  EXPECT_TRUE(exec.on_nhrt(relay));
+  EXPECT_FALSE(exec.on_nhrt(regular_client));
+  EXPECT_TRUE(exec.of(idle).empty());
 }
 
 }  // namespace
